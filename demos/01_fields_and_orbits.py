@@ -9,7 +9,6 @@ from agcyclic import (
     GF,
     INF,
     MobiusMap,
-    element_order,
     find_element_of_order,
     frobenius_orbit,
     primitive_element,
@@ -31,7 +30,7 @@ print()
 F9 = GF(3, 2)
 print("GF(9) modulus:", F9.modulus, "(x^2 + 1)")
 print("primitive element of GF(9):", primitive_element(F9))
-print("multiplicative orders:", {str(e): element_order(e) for e in F9.units()})
+print("multiplicative orders:", {str(e): e.order() for e in F9.units()})
 print()
 
 # Frobenius orbits group elements into conjugacy classes over the prime field.

@@ -23,7 +23,6 @@ from agcyclic import (
     OrbitCodeSpec,
     canonicalize,
     closed_standard_form,
-    codes_equal,
     construct_orbit_code,
     monomial_equivalence,
     transport_pole_to_zero,
@@ -41,7 +40,7 @@ print("after translation: pole at", step1.beta, "orbit", [str(t) for t in step1.
 step2 = transport_zero_to_infinity(step1)
 print("after swap: pole at", step2.beta, "orbit", [str(t) for t in step2.orbit])
 c0, c1, c2 = (construct_orbit_code(s) for s in (spec, step1, step2))
-print("codes equal along the chain:", codes_equal(c0, c1) and codes_equal(c1, c2))
+print("codes equal along the chain:", c0.equals(c1) and c1.equals(c2))
 print()
 
 # --- step 3: b-independence via the closed standard form ---------------------
@@ -68,7 +67,7 @@ print("    relation:", result.relation)
 print("    column-permutation witness:")
 print(np.array2string(result.witness, prefix="    "))
 moved = construct_orbit_code(spec3).apply_monomial(result.witness)
-print("    witness verifies:", codes_equal(moved, construct_orbit_code(result.spec)))
+print("    witness verifies:", moved.equals(construct_orbit_code(result.spec)))
 print()
 
 # An independent equivalence decision reaches the same verdict.

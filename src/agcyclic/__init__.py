@@ -31,7 +31,6 @@ from .fixedfield import (
 from .gf import (
     GF,
     FieldElement,
-    element_order,
     find_element_of_order,
     frobenius_orbit,
     parse_field_spec,
@@ -42,7 +41,6 @@ from .lincode import (
     LinearCode,
     MonomialVerdict,
     WeightEnumerator,
-    codes_equal,
     monomial_equivalence,
 )
 from .pgl2 import (
@@ -50,10 +48,8 @@ from .pgl2 import (
     MobiusMap,
     all_pgl2,
     is_infinite,
-    isotropy_order,
     order_triangular,
     orbit_difference,
-    pgl2_order,
 )
 from .rfield import (
     Divisor,
@@ -77,7 +73,6 @@ __version__ = "0.1.0"
 __all__ = [
     "GF",
     "FieldElement",
-    "element_order",
     "primitive_element",
     "frobenius_orbit",
     "find_element_of_order",
@@ -100,15 +95,12 @@ __all__ = [
     "is_infinite",
     "MobiusMap",
     "all_pgl2",
-    "pgl2_order",
     "order_triangular",
     "orbit_difference",
-    "isotropy_order",
     "LinearCode",
     "WeightEnumerator",
     "MonomialVerdict",
     "BudgetExceededError",
-    "codes_equal",
     "monomial_equivalence",
     "OrbitCodeSpec",
     "CyclicityReport",

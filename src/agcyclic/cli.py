@@ -33,6 +33,7 @@ from .lincode import (
     DEFAULT_PERMUTATION_BUDGET,
     BudgetExceededError,
     LinearCode,
+    min_weight,
     monomial_equivalence,
 )
 from .pgl2 import INF, MobiusMap, is_infinite, parse_point
@@ -65,8 +66,9 @@ def _code_payload(code: LinearCode, budget: int) -> dict:
         "generator": [[str(code.field.from_value(int(v))) for v in row] for row in code.generator],
     }
     try:
-        payload["d"] = code.min_distance(budget) if code.dimension() else None
-        payload["weight_enumerator"] = list(code.weight_enumerator(budget).counts)
+        counts = code.weight_enumerator(budget).counts
+        payload["d"] = min_weight(counts)
+        payload["weight_enumerator"] = list(counts)
     except BudgetExceededError:
         payload["d"] = None
         payload["weight_enumerator"] = None

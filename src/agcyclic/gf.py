@@ -61,12 +61,6 @@ def prime_factors(n: int) -> list[int]:
 # raw polynomial arithmetic over GF(p), used only to bootstrap field tables
 # ---------------------------------------------------------------------------
 
-def _trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
 def _polymod_p(a: list[int], mod: Sequence[int], p: int) -> list[int]:
     a = list(a)
     dm = len(mod) - 1
@@ -77,7 +71,9 @@ def _polymod_p(a: list[int], mod: Sequence[int], p: int) -> list[int]:
             for i in range(dm):
                 a[shift + i] = (a[shift + i] - lead * mod[i]) % p
         a.pop()
-    return _trim(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
 
 
 def _polymulmod_p(a: Sequence[int], b: Sequence[int], mod: Sequence[int], p: int) -> list[int]:
@@ -92,57 +88,11 @@ def _polymulmod_p(a: Sequence[int], b: Sequence[int], mod: Sequence[int], p: int
     return _polymod_p(out, mod, p)
 
 
-def _polypowmod_p(a: Sequence[int], e: int, mod: Sequence[int], p: int) -> list[int]:
-    result = [1]
-    base = _polymod_p(list(a), mod, p)
-    while e:
-        if e & 1:
-            result = _polymulmod_p(result, base, mod, p)
-        base = _polymulmod_p(base, base, mod, p)
-        e >>= 1
-    return result
+def _is_irreducible_over(prime: "GF", coeffs: Sequence[int]) -> bool:
+    """The library's one irreducibility test, applied over the prime field."""
+    from .rfield import Polynomial  # deferred: rfield builds on this module
 
-
-def _polygcd_p(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _trim(list(a)), _trim(list(b))
-    while b:
-        dm = len(b) - 1
-        inv_lead = pow(b[-1], p - 2, p)
-        r = list(a)
-        while len(r) > dm:
-            lead = (r[-1] * inv_lead) % p
-            if lead:
-                shift = len(r) - 1 - dm
-                for i in range(dm + 1):
-                    r[shift + i] = (r[shift + i] - lead * b[i]) % p
-            else:
-                r.pop()
-            _trim(r)
-            if not r:
-                break
-        a, b = b, _trim(r)
-    return a
-
-
-def irreducible_mod_p(coeffs: Sequence[int], p: int) -> bool:
-    """Rabin irreducibility test for a monic polynomial over GF(p)."""
-    m = len(coeffs) - 1
-    if m < 1:
-        return False
-    if m == 1:
-        return True
-    x = [0, 1]
-    # x^(p^m) == x mod f
-    fr = _polypowmod_p(x, p ** m, coeffs, p)
-    if _trim(list(fr)) != x:
-        return False
-    for ell in prime_factors(m):
-        g = _polypowmod_p(x, p ** (m // ell), coeffs, p)
-        diff = list(g) + [0] * (2 - len(g))
-        diff[1] = (diff[1] - 1) % p
-        if len(_polygcd_p(_trim(diff), list(coeffs), p)) != 1:
-            return False
-    return True
+    return Polynomial.from_values(prime, coeffs).is_irreducible()
 
 
 def canonical_modulus(p: int, m: int) -> tuple[int, ...]:
@@ -150,6 +100,7 @@ def canonical_modulus(p: int, m: int) -> tuple[int, ...]:
     smallest coefficient tuple (a_{m-1}, ..., a_0)."""
     if m == 1:
         return (0, 1)
+    prime = GF(p)
     for tail in range(p ** m):
         coeffs = []
         t = tail
@@ -157,7 +108,7 @@ def canonical_modulus(p: int, m: int) -> tuple[int, ...]:
             coeffs.append(t % p)
             t //= p
         coeffs.append(1)
-        if irreducible_mod_p(coeffs, p):
+        if _is_irreducible_over(prime, coeffs):
             return tuple(coeffs)
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
@@ -189,13 +140,12 @@ class GF:
             mod = tuple(int(c) % p for c in modulus)
             if len(mod) != m + 1 or mod[-1] != 1:
                 raise ValueError(f"modulus must be monic of degree {m}")
-            if not irreducible_mod_p(mod, p):
+            if not _is_irreducible_over(GF(p), mod):
                 raise ValueError("modulus is reducible over the prime field")
             self.modulus = mod
         self._build_log_tables()
         self._np_exp: np.ndarray | None = None
         self._np_log: np.ndarray | None = None
-        self._irreducible_cache: dict[int, list] = {}
 
     # -- construction of exp/log tables -------------------------------------
 
@@ -329,23 +279,6 @@ class GF:
             xs, ys = xs // p, ys // p
             mult *= p
         return out
-
-    def np_neg(self, x: np.ndarray) -> np.ndarray:
-        if self.p == 2:
-            return np.asarray(x).copy()
-        if self.m == 1:
-            return (-np.asarray(x)) % self.p
-        p = self.p
-        out = np.zeros(np.asarray(x).shape, dtype=np.int64)
-        xs, mult = np.asarray(x), 1
-        for _ in range(self.m):
-            out += ((p - xs % p) % p) * mult
-            xs = xs // p
-            mult *= p
-        return out
-
-    def np_sub(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self.np_add(x, self.np_neg(y))
 
     def np_mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         self._ensure_np_tables()
@@ -603,11 +536,6 @@ class FieldElement:
 # ---------------------------------------------------------------------------
 # module-level operations
 # ---------------------------------------------------------------------------
-
-def element_order(a: FieldElement) -> int:
-    """Smallest t >= 1 with a^t = 1; divides q - 1."""
-    return a.order()
-
 
 def primitive_element(field: GF) -> FieldElement:
     """The canonically smallest element of multiplicative order q - 1."""

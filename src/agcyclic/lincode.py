@@ -128,11 +128,7 @@ class LinearCode:
         """Exact minimum weight by exhaustive codeword enumeration."""
         if self.dimension() < 1:
             raise ValueError("the zero code has no minimum distance")
-        counts = self.weight_distribution(budget)
-        for w in range(1, self.n + 1):
-            if counts[w] > 0:
-                return w
-        raise AssertionError("nonzero code without nonzero codewords")
+        return min_weight(self.weight_distribution(budget))
 
     def is_mds(self, budget: int = DEFAULT_CODEWORD_BUDGET) -> bool:
         """Singleton equality d = n - k + 1."""
@@ -202,6 +198,13 @@ class LinearCode:
         return f"LinearCode(n={self.n}, k={self.dimension()} over {self.field!r})"
 
 
+def min_weight(counts) -> int | None:
+    """Smallest nonzero weight in a weight distribution; None when only the
+    zero word is counted."""
+    nonzero = np.flatnonzero(np.asarray(counts)[1:])
+    return int(nonzero[0]) + 1 if nonzero.size else None
+
+
 class WeightEnumerator:
     """Weight counts W[i] = number of codewords of Hamming weight i."""
 
@@ -224,10 +227,6 @@ class WeightEnumerator:
         if not isinstance(other, WeightEnumerator):
             return NotImplemented
         return self.counts == other.counts
-
-
-def codes_equal(c1: LinearCode, c2: LinearCode) -> bool:
-    return c1.equals(c2)
 
 
 # ---------------------------------------------------------------------------

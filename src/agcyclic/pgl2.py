@@ -10,7 +10,7 @@ with A^{-1}, so iterating the image map n times returns to the start.
 
 from __future__ import annotations
 
-from .gf import GF, FieldElement, element_order
+from .gf import GF, FieldElement
 from .rfield import INF, ProjPoint, is_infinite, parse_point
 
 
@@ -241,7 +241,7 @@ def order_triangular(mobius: MobiusMap) -> int:
     a, _b = triangular_params(mobius)
     if a == mobius.field.one:
         return mobius.field.p
-    return element_order(a)
+    return a.order()
 
 
 def geometric_sum(a: FieldElement, terms: int) -> FieldElement:
@@ -291,30 +291,6 @@ def all_pgl2(field: GF):
             yield MobiusMap(zero, one, field.from_value(cv), field.from_value(dv))
 
 
-# ---------------------------------------------------------------------------
-# spec-facing wrappers
-# ---------------------------------------------------------------------------
-
-def mobius_apply_inverse(mobius: MobiusMap, t: ProjPoint) -> ProjPoint:
-    return mobius.apply_inverse(t)
-
-
-def pgl2_order(mobius: MobiusMap) -> int:
-    return mobius.order()
-
-
-def fixed_points(mobius: MobiusMap) -> set[ProjPoint]:
-    return mobius.fixed_points()
-
-
-def orbit(mobius: MobiusMap, alpha: ProjPoint) -> tuple[ProjPoint, ...]:
-    return mobius.orbit(alpha)
-
-
-def isotropy_order(mobius: MobiusMap, alpha: ProjPoint) -> int:
-    return mobius.isotropy_order(alpha)
-
-
 __all__ = [
     "MobiusMap",
     "all_pgl2",
@@ -326,9 +302,4 @@ __all__ = [
     "order_triangular",
     "geometric_sum",
     "orbit_difference",
-    "mobius_apply_inverse",
-    "pgl2_order",
-    "fixed_points",
-    "orbit",
-    "isotropy_order",
 ]

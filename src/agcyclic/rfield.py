@@ -9,7 +9,6 @@ combinations of places.  Everything here is immutable and exact.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -269,21 +268,14 @@ class Polynomial:
         return [self.field.from_value(v) for v in range(self.field.q) if self.eval_i(v) == 0]
 
     def is_irreducible(self) -> bool:
-        """Trial-division irreducibility over GF(q) (desk scale)."""
-        d = self.degree
-        if d is NEG_INF or d < 1:
+        """Berlekamp criterion over GF(q): f is squarefree and the fixed space
+        of the Frobenius map on GF(q)[x]/(f) is the constants alone."""
+        if self.degree < 1:  # constants, and the zero polynomial (-inf)
             return False
-        if d == 1:
-            return True
-        if self.roots():
+        g = self.monic()
+        if poly_gcd(g, g.derivative()).degree != 0:
             return False
-        if d <= 3:
-            return True
-        for e in range(2, int(d) // 2 + 1):
-            for w in monic_irreducibles(self.field, e):
-                if w.divides(self):
-                    return False
-        return True
+        return _frobenius_fixed_kernel(g).shape[0] == 1
 
     # -- identity ----------------------------------------------------------------
 
@@ -331,26 +323,6 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return a.monic() if not a.is_zero() else a
 
 
-def monic_irreducibles(field: GF, degree: int) -> list[Polynomial]:
-    """All monic irreducibles of the given degree, in canonical coefficient
-    order; memoized on the field."""
-    cache = field._irreducible_cache
-    if degree not in cache:
-        out = []
-        if degree == 1:
-            for v in range(field.q):
-                out.append(Polynomial.from_values(field, [v, 1]))
-        else:
-            for tail in itertools.product(range(field.q), repeat=degree):
-                # tail runs (a_{d-1}, ..., a_0) so the scan is canonical
-                vals = list(reversed(tail)) + [1]
-                cand = Polynomial.from_values(field, vals)
-                if cand.is_irreducible():
-                    out.append(cand)
-        cache[degree] = out
-    return cache[degree]
-
-
 # ---------------------------------------------------------------------------
 # factorization (squarefree reduction + deterministic Berlekamp)
 # ---------------------------------------------------------------------------
@@ -366,23 +338,29 @@ def _powmod(base: Polynomial, e: int, mod: Polynomial) -> Polynomial:
     return result
 
 
-def _berlekamp_squarefree(g: Polynomial) -> list[Polynomial]:
-    """Irreducible factors of a squarefree monic polynomial (deterministic)."""
+def _frobenius_fixed_kernel(g: Polynomial) -> np.ndarray:
+    """Basis (as rows) of the kernel of Q - I, where row i of the Frobenius
+    matrix Q holds x^(i*q) mod g for a monic g.  For squarefree g its
+    dimension is the number of distinct irreducible factors (Berlekamp)."""
     field = g.field
     d = int(g.degree)
-    if d == 1:
-        return [g]
-    # Frobenius matrix: row i holds x^(i*q) mod g
     xq = _powmod(Polynomial.x(field), field.q, g)
     rows = []
     cur = Polynomial.one(field)
-    for _ in range(d):
-        vals = list(cur.coeffs) + [0] * (d - len(cur.coeffs))
-        rows.append(vals)
+    for i in range(d):
+        row = list(cur.coeffs) + [0] * (d - len(cur.coeffs))
+        row[i] = field.sub_i(row[i], 1)
+        rows.append(row)
         cur = (cur * xq) % g
-    frob = np.array(rows, dtype=np.int64)
-    eye = np.eye(d, dtype=np.int64)
-    kernel = linalg.left_kernel(field, field.np_sub(frob, eye))
+    return linalg.left_kernel(field, np.array(rows, dtype=np.int64))
+
+
+def _berlekamp_squarefree(g: Polynomial) -> list[Polynomial]:
+    """Irreducible factors of a squarefree monic polynomial (deterministic)."""
+    field = g.field
+    if g.degree == 1:
+        return [g]
+    kernel = _frobenius_fixed_kernel(g)
     r = kernel.shape[0]
     if r <= 1:
         return [g]
@@ -599,12 +577,9 @@ class Place:
         if poly.degree is NEG_INF or poly.degree < 1:
             raise ValueError("a place needs a polynomial of degree >= 1")
         poly = poly.monic()
-        if poly.degree == 1:
-            gamma = poly.field.from_value(poly.field.neg_i(poly.coeffs[0]))
-            return cls.at(gamma)
         if not poly.is_irreducible():
             raise ValueError(f"defining polynomial {poly} is reducible")
-        return cls(poly.field, None, poly)
+        return cls._from_known_irreducible(poly)
 
     @classmethod
     def _from_known_irreducible(cls, poly: Polynomial) -> "Place":
@@ -824,42 +799,28 @@ def evaluate_at_place(f: RationalFunction, place: Place) -> FieldElement:
 
 
 def in_riemann_roch_space(f: RationalFunction, G: Divisor) -> bool:
-    """Whether (f) >= -G, by pole-order accounting at every place."""
+    """Whether (f) >= -G.
+
+    f is in lowest terms, so its finite poles are exactly the places that
+    divide its denominator.  The test checks v_P(f) >= -G(P) at infinity and
+    at each finite support place of G, and that the pole orders found at
+    those places account for the whole degree of the denominator (no pole
+    outside the support); no factorization is needed.
+    """
     if f.is_zero():
         return True
-    coeffs = {p: c for p, c in G.items()}
     inf_place = Place.infinity(f.field)
-    # poles can only occur at denominator factors and at infinity
-    for w, e in factor(f.den):
-        place = Place._from_known_irreducible(w)
-        if valuation(f, place) < -coeffs.get(place, 0):
-            return False
-    if valuation(f, inf_place) < -coeffs.get(inf_place, 0):
+    if valuation(f, inf_place) < -G.coefficient(inf_place):
         return False
-    # negative divisor coefficients demand zeros
-    for place, c in coeffs.items():
-        if c < 0 and valuation(f, place) < -c:
-            return False
-    return True
-
-
-def _pole_orders_respect(f: RationalFunction, G: Divisor) -> bool:
-    """Pole-order accounting at each support place of G and at infinity.
-
-    Complete for functions whose denominator only involves support places
-    (true of every rr_basis member by construction); in_riemann_roch_space
-    is the unconditional membership test.
-    """
-    inf_place = Place.infinity(f.field)
-    seen_infinity = False
+    pole_degree = 0
     for place, c in G.items():
         if place.is_infinite:
-            seen_infinity = True
-        if valuation(f, place) < -c:
+            continue
+        v = valuation(f, place)
+        if v < -c:
             return False
-    if not seen_infinity and valuation(f, inf_place) < 0:
-        return False
-    return True
+        pole_degree += max(-v, 0) * place.degree
+    return pole_degree == f.den.degree
 
 
 _rr_basis_cache: dict[Divisor, tuple[RationalFunction, ...]] = {}
@@ -869,8 +830,7 @@ def rr_basis(G: Divisor) -> list[RationalFunction]:
     """Ordered basis of the Riemann-Roch space L(G) of the rational function
     field (genus 0): deg G + 1 functions h * x^t / N for t = 0..deg G, where
     N collects the positive finite part of G and h the negative finite part.
-    Every member is verified by pole-order accounting at the support places
-    and at infinity.
+    Every member is verified with in_riemann_roch_space.
 
     Empty for deg G < 0.
     """
@@ -894,7 +854,7 @@ def rr_basis(G: Divisor) -> list[RationalFunction]:
     xpow = Polynomial.one(field)
     for _t in range(d + 1):
         f = RationalFunction(numerator_forced * xpow, denominator)
-        if not _pole_orders_respect(f, G):
+        if not in_riemann_roch_space(f, G):
             raise AssertionError(f"constructed basis member {f} escapes L(G)")
         basis.append(f)
         xpow = xpow * Polynomial.x(field)
@@ -958,7 +918,7 @@ def place_image(mobius, place: Place) -> Place:
     algebraic closure), which preserves the degree.
     """
     if place.is_rational:
-        return _place_at_point(place.field, mobius.apply_inverse(
+        return place_of_point(place.field, mobius.apply_inverse(
             INF if place.is_infinite else place.point
         ))
     field = place.field
@@ -972,10 +932,6 @@ def place_image(mobius, place: Place) -> Place:
     return Place.from_polynomial(moved.monic())
 
 
-def _place_at_point(field: GF, t: ProjPoint) -> Place:
-    return Place.infinity(field) if t is INF else Place.at(t)
-
-
 def place_of_point(field: GF, t: ProjPoint) -> Place:
     """The rational place attached to a projective point."""
-    return _place_at_point(field, t)
+    return Place.infinity(field) if t is INF else Place.at(t)

@@ -21,15 +21,18 @@ from agcyclic.cli import main
 GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
 
 
-@pytest.mark.parametrize("entry", GOLDEN, ids=lambda e: " ".join(e["argv"]))
+@pytest.mark.parametrize(
+    "entry", GOLDEN, ids=[f"{i:02d}-{e['argv'][0]}" for i, e in enumerate(GOLDEN)]
+)
 def test_golden_cli(entry):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
         code = main(list(entry["argv"]))
     out = buf.getvalue()
-    assert code == entry["exit"]
+    call = " ".join(entry["argv"])
+    assert code == entry["exit"], call
     if "stdout" in entry:
-        assert out == entry["stdout"]
+        assert out == entry["stdout"], call
     else:
-        assert len(out) == entry["stdout_len"]
-        assert hashlib.sha256(out.encode()).hexdigest() == entry["stdout_sha256"]
+        assert len(out) == entry["stdout_len"], call
+        assert hashlib.sha256(out.encode()).hexdigest() == entry["stdout_sha256"], call

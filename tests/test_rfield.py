@@ -1,5 +1,8 @@
 """Polynomials, rational functions, places, divisors, Riemann-Roch spaces."""
 
+import random
+from itertools import product
+
 import pytest
 
 from agcyclic import (
@@ -21,6 +24,7 @@ from agcyclic import (
 )
 from agcyclic.linalg import as_matrix, rref
 from agcyclic.rfield import INF, in_riemann_roch_space
+from oracles import in_riemann_roch_space_by_factoring, is_irreducible_by_trial_division
 
 F4 = GF(2, 2)
 F5 = GF(5)
@@ -64,6 +68,32 @@ def test_is_irreducible_degree2_place_polynomial():
     assert q.is_irreducible()
     assert not Polynomial(F4, [1, 0, 1]).is_irreducible()  # x^2+1 = (x+1)^2
     assert Polynomial(F5, [2, 0, 1]).is_irreducible()  # x^2+2 has no roots
+
+
+@pytest.mark.parametrize("p,m,top", [
+    (2, 1, 4), (3, 1, 4), (2, 2, 4), (5, 1, 3), (7, 1, 3), (2, 3, 3), (3, 2, 3),
+])
+def test_is_irreducible_matches_trial_division(p, m, top):
+    field = GF(p, m)
+    for d in range(1, top + 1):
+        irreducible = 0
+        for tail in product(range(field.q), repeat=d):
+            f = Polynomial.from_values(field, list(tail) + [1])
+            assert f.is_irreducible() == is_irreducible_by_trial_division(f), str(f)
+            irreducible += f.is_irreducible()
+        # Gauss: d * N_d = sum over e | d of mu(d/e) q^e; for d <= 4 the
+        # only squarefree proper quotients d/e are primes and 6 never occurs
+        mobius_sum = field.q ** d - sum(field.q ** (d // ell) for ell in (2, 3) if d % ell == 0)
+        assert d * irreducible == mobius_sum
+
+
+def test_quartic_place_over_gf256():
+    F256 = GF(2, 8)
+    P = place_from_string(F256, "poly:b^3+b^2+b+1,b^3+b+1,b^3+b^2+1,b^2,1")
+    assert P.degree == 4 and not P.is_rational
+    # a product of two irreducible quadratics: no roots, still reducible
+    with pytest.raises(ValueError, match="reducible"):
+        place_from_string(F256, "poly:b^4,b^5+b^2,b^5+b^3+b,b^3,1")
 
 
 def test_roots_exhaustive():
@@ -212,6 +242,76 @@ def test_rr_basis_negative_coefficients():
         assert valuation(f, Place.at(F5.one)) >= 1
         assert in_riemann_roch_space(f, G)
     assert rr_basis(Divisor(F5, {Place.at(F5.zero): -1})) == []
+
+
+def test_rr_membership_rejects_pole_outside_support():
+    G = Divisor.of_place(Place.at(F5.zero), 1)
+    assert in_riemann_roch_space(RationalFunction(Polynomial.one(F5), x_minus(F5, 0)), G)
+    assert not in_riemann_roch_space(RationalFunction(Polynomial.one(F5), x_minus(F5, 1)), G)
+    # the pole sits at a degree-2 place while G only allows rational ones
+    quad = Polynomial(F5, [2, 0, 1])
+    G2 = Divisor(F5, {Place.at(F5.zero): 2, Place.infinity(F5): 2})
+    assert not in_riemann_roch_space(RationalFunction(Polynomial.one(F5), quad), G2)
+    at_quad = Divisor.of_place(Place.from_polynomial(quad), 1)
+    assert in_riemann_roch_space(RationalFunction(Polynomial.one(F5), quad), at_quad)
+
+
+def test_rr_membership_rejects_high_pole_at_infinity():
+    G = Divisor.of_place(Place.infinity(F7), 1)
+    assert in_riemann_roch_space(RationalFunction.x(F7), G)
+    assert not in_riemann_roch_space(RationalFunction.x(F7) ** 2, G)
+    finite_only = Divisor.of_place(Place.at(F7.zero), 2)
+    assert not in_riemann_roch_space(RationalFunction.x(F7), finite_only)
+    assert in_riemann_roch_space(RationalFunction.x(F7) ** -2, finite_only)
+
+
+def test_rr_membership_rejects_missing_forced_zero():
+    G = Divisor(F5, {Place.at(F5.zero): 2, Place.at(F5.one): -1, Place.infinity(F5): 1})
+    assert not in_riemann_roch_space(RationalFunction.x(F5) ** -1, G)
+    assert not in_riemann_roch_space(RationalFunction.constant(F5.one), G)
+    assert in_riemann_roch_space(RationalFunction(x_minus(F5, 1), Polynomial.x(F5)), G)
+    quad = Polynomial(F5, [2, 0, 1])
+    Gq = Divisor(F5, {Place.infinity(F5): 3, Place.from_polynomial(quad): -1})
+    assert not in_riemann_roch_space(RationalFunction.x(F5), Gq)
+    assert in_riemann_roch_space(RationalFunction.from_polynomial(quad), Gq)
+
+
+def _random_poly(field, rng, top):
+    length = rng.randint(1, top + 1)
+    return Polynomial.from_values(field, [rng.randrange(field.q) for _ in range(length)])
+
+
+def test_rr_membership_matches_factoring_oracle():
+    rng = random.Random(20210616)
+    verdicts = {True: 0, False: 0}
+    for field in (GF(2, 2), F5, F7):
+        places = [Place.at(e) for e in field.elements()] + [Place.infinity(field)]
+        places += [
+            Place.from_polynomial(f)
+            for f in (Polynomial.from_values(field, [c0, c1, 1])
+                      for c0 in range(field.q) for c1 in range(field.q))
+            if f.is_irreducible()
+        ][:3]
+        for _ in range(400):
+            support = rng.sample(places, rng.randint(0, 3))
+            G = Divisor(field, {P: rng.randint(-2, 3) for P in support})
+            basis = rr_basis(G)
+            if basis and rng.random() < 0.5:
+                f = RationalFunction.constant(field.zero)
+                for member in basis:
+                    c = RationalFunction.constant(field.from_value(rng.randrange(field.q)))
+                    f = f + c * member
+                if rng.random() < 0.5:  # perturb by a random pole or zero
+                    f = f * RationalFunction.x(field) ** rng.choice((-1, 1))
+            else:
+                den = _random_poly(field, rng, 3)
+                if den.is_zero():
+                    den = Polynomial.one(field)
+                f = RationalFunction(_random_poly(field, rng, 3), den)
+            expected = in_riemann_roch_space_by_factoring(f, G)
+            assert in_riemann_roch_space(f, G) == expected, (str(f), str(G))
+            verdicts[expected] += 1
+    assert min(verdicts.values()) > 200
 
 
 def test_pole_power_basis_spans_rr_space():
