@@ -59,26 +59,29 @@ def _point_str(t) -> str:
     return "inf" if is_infinite(t) else str(t)
 
 
-def _code_payload(code: LinearCode, budget: int) -> dict:
+def _emit_code(args, code: LinearCode, report) -> int:
+    """Print a code and its cyclicity report; d and the weight enumerator obey
+    --budget-codewords and reuse the report's enumeration."""
+    budget, k = args.budget_codewords, code.dimension()
+    weights = report.weight_enumerator
+    if weights is None or code.field.q ** k > budget:
+        try:
+            weights = code.weight_enumerator(budget)
+        except BudgetExceededError:
+            weights = None
     payload = {
         "n": code.n,
-        "k": code.dimension(),
+        "k": k,
         "generator": [[str(code.field.from_value(int(v))) for v in row] for row in code.generator],
+        "d": None if weights is None else min_weight(weights.counts),
+        "weight_enumerator": None if weights is None else list(weights.counts),
+        "cyclic": report.code_cyclic,
+        "report": _report_payload(report),
     }
-    try:
-        counts = code.weight_enumerator(budget).counts
-        payload["d"] = min_weight(counts)
-        payload["weight_enumerator"] = list(counts)
-    except BudgetExceededError:
-        payload["d"] = None
-        payload["weight_enumerator"] = None
-    return payload
-
-
-def _code_lines(payload: dict) -> list[str]:
-    lines = [f"n = {payload['n']}, k = {payload['k']}, d = {payload['d']}"]
+    lines = [f"n = {code.n}, k = {k}, d = {payload['d']}"]
     lines += [",".join(row) for row in payload["generator"]]
-    return lines
+    _emit(args, payload, lines + [f"cyclic: {str(report.code_cyclic).lower()}"])
+    return 0 if report.all_ok else 1
 
 
 def _report_payload(report) -> dict:
@@ -162,12 +165,7 @@ def _cmd_construct(args) -> int:
         spec = OrbitCodeSpec(matrix, alpha, beta, args.r)
         code = construct_orbit_code(spec, pole_basis=args.pole_basis)
         report = verify_cyclic_construction(matrix, spec.places, spec.divisor, args.budget_codewords)
-    payload = _code_payload(code, args.budget_codewords)
-    payload["cyclic"] = report.code_cyclic
-    payload["report"] = _report_payload(report)
-    lines = _code_lines(payload) + [f"cyclic: {str(report.code_cyclic).lower()}"]
-    _emit(args, payload, lines)
-    return 0 if report.all_ok else 1
+    return _emit_code(args, code, report)
 
 
 def _cmd_verify(args) -> int:
@@ -286,12 +284,7 @@ def _cmd_example(args) -> int:
     else:
         field = _field_from_args(args)
         code, report = artin_schreier_code(field, args.s)
-    payload = _code_payload(code, args.budget_codewords)
-    payload["cyclic"] = report.code_cyclic
-    payload["report"] = _report_payload(report)
-    lines = _code_lines(payload) + [f"cyclic: {str(report.code_cyclic).lower()}"]
-    _emit(args, payload, lines)
-    return 0 if report.all_ok else 1
+    return _emit_code(args, code, report)
 
 
 def _cmd_selftest(args) -> int:

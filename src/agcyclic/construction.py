@@ -33,6 +33,8 @@ from .lincode import (
     DEFAULT_CODEWORD_BUDGET,
     BudgetExceededError,
     LinearCode,
+    WeightEnumerator,
+    min_weight,
 )
 from .pgl2 import (
     INF,
@@ -155,6 +157,8 @@ class CyclicityReport:
 
     Flags that need an automorphism are None when none was supplied (the
     Frobenius construction moves constants, not x, so it carries no matrix).
+    The weight enumerator (None when not constructible or over budget)
+    gives the distance.
     """
 
     n: int
@@ -162,6 +166,7 @@ class CyclicityReport:
     isotropy: int | None
     dimension: int
     distance: int | None
+    weight_enumerator: WeightEnumerator | None
     full_space: bool
     places_distinct: bool
     supports_disjoint: bool
@@ -241,21 +246,22 @@ def verify_cyclic_construction(
         code_cyclic = code.is_cyclic()
         induced = _induced_shift_solvable(code)
         try:
-            distance = code.min_distance(codeword_budget) if dimension else None
+            weights = code.weight_enumerator(codeword_budget)
         except BudgetExceededError:
-            distance = None
+            weights = None
     else:
         code = None
         dimension = 0
         code_cyclic = False
         induced = False
-        distance = None
+        weights = None
     return CyclicityReport(
         n=n,
         m=m,
         isotropy=isotropy,
         dimension=dimension,
-        distance=distance,
+        distance=min_weight(weights.counts) if weights is not None else None,
+        weight_enumerator=weights,
         full_space=dimension == n,
         places_distinct=places_distinct,
         supports_disjoint=supports_disjoint,

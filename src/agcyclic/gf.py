@@ -15,10 +15,20 @@ The printable form writes elements as polynomials in the generator symbol
 ``2b^2+1``; prime-field elements print as plain integers.  The token ``inf``
 is reserved for the point at infinity of the projective line and is never a
 field element.
+
+Arithmetic is table-driven: each field stores the powers g^i of its canonical
+primitive element and their logarithms, built by integer arithmetic mod p in
+prime fields and by linear algebra over GF(p) in extension fields.  Products,
+inverses and powers are table lookups in every field.  Sums take ``% p`` in
+prime fields, ``xor`` in GF(2^m), and Zech's logarithm Z(k) = log(1 + g^k) in
+the other fields: a + b = g^(log a + Z(log b - log a)).  The scalar (int) and
+numpy (array) paths read the same tables, and base-p digits appear only in
+the table build and in element input/output.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from math import gcd
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -28,22 +38,11 @@ MAX_Q = 1 << 16
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and prime_factors(n) == [n]
 
 
 def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n, ascending."""
+    """Distinct prime factors of n, ascending (none for n < 2)."""
     out = []
     d = 2
     while d * d <= n:
@@ -57,35 +56,76 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# raw polynomial arithmetic over GF(p), used only to bootstrap field tables
-# ---------------------------------------------------------------------------
-
-def _polymod_p(a: list[int], mod: Sequence[int], p: int) -> list[int]:
-    a = list(a)
-    dm = len(mod) - 1
-    while len(a) > dm:
-        lead = a[-1]
-        if lead:
-            shift = len(a) - 1 - dm
-            for i in range(dm):
-                a[shift + i] = (a[shift + i] - lead * mod[i]) % p
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+def _digits(val: int, p: int, m: int) -> list[int]:
+    """The m base-p digits of val, least significant first."""
+    out = []
+    for _ in range(m):
+        val, d = divmod(val, p)
+        out.append(d)
+    return out
 
 
-def _polymulmod_p(a: Sequence[int], b: Sequence[int], mod: Sequence[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = (out[i + j] + ai * bj) % p
-    return _polymod_p(out, mod, p)
+def _matpow(M: np.ndarray, e: int, p: int) -> np.ndarray:
+    """M^e over GF(p) by repeated squaring, also for a stack of matrices (in
+    float64, exact: entries are below p and m * p^2 < 2^53)."""
+    result = np.eye(M.shape[-1])
+    while e:
+        if e & 1:
+            result = result @ M % p
+        M = M @ M % p
+        e >>= 1
+    return result
+
+
+def _prime_field_powers(p: int) -> tuple[int, list[int]]:
+    """g and g^0, ..., g^(p-2) in GF(p), where products are integers mod p."""
+    n = p - 1
+    factors = prime_factors(n)
+    gen = next((c for c in range(2, p) if all(pow(c, n // ell, p) != 1 for ell in factors)), 1)
+    exp = [1] * n
+    for i in range(1, n):
+        exp[i] = exp[i - 1] * gen % p
+    return gen, exp
+
+
+def _extension_field_powers(p: int, m: int, modulus: Sequence[int]) -> tuple[int, list[int]]:
+    """g and g^0, ..., g^(q-2) in GF(p^m), m >= 2, by linear algebra over GF(p):
+    multiplication by the element with digits (c_0, ..., c_{m-1}) is the map
+    v -> v (c_0 I + c_1 C + ... + c_{m-1} C^{m-1}) on digit rows, C the
+    modulus's companion matrix.  Candidates are tested in blocks of about
+    1024 matrix entries through M^((q-1)/l), and the digit rows of the
+    powers of g double with one product per step: rows[k:2k] = rows[:k] M^k.
+    """
+    q = p ** m
+    n = q - 1
+    weights = p ** np.arange(m)  # the value of a digit row is row @ weights
+    companion = np.eye(m, k=1)  # x * x^i = x^(i+1)
+    companion[m - 1] = [-c % p for c in modulus[:m]]  # x * x^(m-1) = x^m
+    powers = [np.eye(m)]
+    for _ in range(m - 1):
+        powers.append(powers[-1] @ companion % p)
+    powers = np.array(powers)
+    block = 1024 // m ** 2
+    for start in range(2, q, block):
+        vals = np.arange(start, min(q, start + block))
+        Ms = (vals[:, None] // weights % p @ powers.reshape(m, m * m)).reshape(-1, m, m) % p
+        primitive = np.ones(len(vals), dtype=bool)
+        for ell in prime_factors(n):
+            primitive &= (_matpow(Ms, n // ell, p)[:, 0] != powers[0, 0]).any(axis=1)
+        if primitive.any():
+            i = int(primitive.argmax())
+            gen, M = start + i, Ms[i]
+            break
+    rows = np.zeros((n, m), dtype=np.min_scalar_type(p - 1))
+    rows[0, 0] = 1
+    k = 1
+    while k < n:
+        for lo in range(0, min(k, n - k), 4096):  # blocks bound the temporaries
+            hi = min(lo + 4096, k, n - k)
+            rows[k + lo:k + hi] = (rows[lo:hi] @ M).astype(np.int64) % p
+        M = M @ M % p
+        k *= 2
+    return gen, (rows @ weights).tolist()
 
 
 def _is_irreducible_over(prime: "GF", coeffs: Sequence[int]) -> bool:
@@ -95,19 +135,16 @@ def _is_irreducible_over(prime: "GF", coeffs: Sequence[int]) -> bool:
     return Polynomial.from_values(prime, coeffs).is_irreducible()
 
 
+@cache
 def canonical_modulus(p: int, m: int) -> tuple[int, ...]:
     """Monic irreducible of degree m over GF(p) with the lexicographically
-    smallest coefficient tuple (a_{m-1}, ..., a_0)."""
+    smallest coefficient tuple (a_{m-1}, ..., a_0).  Searched once per (p, m)
+    in a process."""
     if m == 1:
         return (0, 1)
     prime = GF(p)
     for tail in range(p ** m):
-        coeffs = []
-        t = tail
-        for _ in range(m):
-            coeffs.append(t % p)
-            t //= p
-        coeffs.append(1)
+        coeffs = _digits(tail, p, m) + [1]
         if _is_irreducible_over(prime, coeffs):
             return tuple(coeffs)
     raise AssertionError("no irreducible polynomial found")  # unreachable
@@ -143,65 +180,32 @@ class GF:
             if not _is_irreducible_over(GF(p), mod):
                 raise ValueError("modulus is reducible over the prime field")
             self.modulus = mod
-        self._build_log_tables()
-        self._np_exp: np.ndarray | None = None
-        self._np_log: np.ndarray | None = None
+        self._build_tables()
 
-    # -- construction of exp/log tables -------------------------------------
+    # -- tables ----------------------------------------------------------------
 
-    def _mul_raw(self, a: int, b: int) -> int:
-        da, db = self._digits(a), self._digits(b)
-        prod = _polymulmod_p(da, db, self.modulus, self.p)
-        return self._undigits(prod)
-
-    def _digits(self, val: int) -> list[int]:
-        out = []
-        while val:
-            out.append(val % self.p)
-            val //= self.p
-        return out
-
-    def _undigits(self, digits: Sequence[int]) -> int:
-        val = 0
-        for d in reversed(digits):
-            val = val * self.p + d
-        return val
-
-    def _build_log_tables(self) -> None:
-        q = self.q
-        if q == 2:
-            self._gen_val = 1
-            self._exp = [1]
-            self._log = [-1, 0]
-            return
-        factors = prime_factors(q - 1)
-        gen = 0
-        for cand in range(2, q):
-            if all(self._pow_raw(cand, (q - 1) // ell) != 1 for ell in factors):
-                gen = cand
-                break
-        # 1 has order 1; the smallest primitive value is >= 2 except in GF(2)
-        exp = [1] * (q - 1)
-        cur = 1
-        for i in range(1, q - 1):
-            cur = self._mul_raw(cur, gen)
-            exp[i] = cur
+    def _build_tables(self) -> None:
+        """Powers and logarithms of the canonical primitive element g, the
+        smallest value >= 2 with g^((q-1)/l) != 1 for each prime l | q-1."""
+        p, m, q = self.p, self.m, self.q
+        n = q - 1
+        if m == 1:
+            gen, exp = _prime_field_powers(p)
+        else:
+            gen, exp = _extension_field_powers(p, m, self.modulus)
         log = [-1] * q
         for i, v in enumerate(exp):
             log[v] = i
-        self._gen_val = gen
-        self._exp = exp
-        self._log = log
-
-    def _pow_raw(self, a: int, e: int) -> int:
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self._mul_raw(result, base)
-            base = self._mul_raw(base, base)
-            e >>= 1
-        return result
+        self._gen_val, self._exp, self._log = gen, exp, log
+        self._np_exp = np.array(exp * 2)
+        self._np_log = np.array(log)
+        self._np_log[0] = 0  # a placeholder: the numpy paths mask zero operands
+        if p > 2 and m > 1:  # the fields that add through Zech's table
+            # Z(k) = log(1 + g^k): add 1 to the lowest digit of g^k.  Where
+            # 1 + g^k = 0 (k = n/2) it is -1 = log 0.  It is read at
+            # k = log b - log a in (-n, n), a negative k indexing from the end.
+            self._zech = [log[v - v % p + (v + 1) % p] for v in exp]
+            self._np_zech = np.array(self._zech)
 
     # -- integer-level arithmetic (values in [0, q)) -------------------------
 
@@ -210,29 +214,25 @@ class GF:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
-        p = self.p
-        out, mult = 0, 1
-        while a or b:
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        if a == 0 or b == 0:
+            return a or b
+        la = self._log[a]
+        z = self._zech[self._log[b] - la]  # a + b = a (1 + b/a)
+        return 0 if z < 0 else self._exp[(la + z) % (self.q - 1)]
 
     def neg_i(self, a: int) -> int:
         if self.m == 1:
             return (-a) % self.p
-        if self.p == 2:
+        if self.p == 2 or a == 0:
             return a
-        p = self.p
-        out, mult = 0, 1
-        while a:
-            out += ((p - a % p) % p) * mult
-            a //= p
-            mult *= p
-        return out
+        n = self.q - 1
+        return self._exp[(self._log[a] + n // 2) % n]  # -1 = g^((q-1)/2)
 
     def sub_i(self, a: int, b: int) -> int:
+        if self.m == 1:
+            return (a - b) % self.p
+        if self.p == 2:
+            return a ^ b
         return self.add_i(a, self.neg_i(b))
 
     def mul_i(self, a: int, b: int) -> int:
@@ -259,32 +259,21 @@ class GF:
 
     # -- vectorized arithmetic on integer-encoded numpy arrays ---------------
 
-    def _ensure_np_tables(self) -> None:
-        if self._np_exp is None:
-            self._np_exp = np.array(self._exp + self._exp, dtype=np.int64)
-            log = np.array(self._log, dtype=np.int64)
-            log[0] = 0  # placeholder, masked out by np_mul
-            self._np_log = log
-
     def np_add(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         if self.m == 1:
             return (x + y) % self.p
         if self.p == 2:
             return np.bitwise_xor(x, y)
-        p = self.p
-        out = np.zeros(np.broadcast(x, y).shape, dtype=np.int64)
-        xs, ys, mult = np.asarray(x), np.asarray(y), 1
-        for _ in range(self.m):
-            out += ((xs + ys) % p) * mult
-            xs, ys = xs // p, ys // p
-            mult *= p
-        return out
+        x, y = np.asarray(x), np.asarray(y)
+        lx = self._np_log[x]
+        z = self._np_zech[self._np_log[y] - lx]
+        total = np.where(z < 0, 0, self._np_exp[lx + z])
+        return np.where(x == 0, y, np.where(y == 0, x, total))
 
     def np_mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        self._ensure_np_tables()
-        xs, ys = np.asarray(x), np.asarray(y)
-        prod = self._np_exp[self._np_log[xs] + self._np_log[ys]]
-        return np.where((xs == 0) | (ys == 0), 0, prod)
+        x, y = np.asarray(x), np.asarray(y)
+        prod = self._np_exp[self._np_log[x] + self._np_log[y]]
+        return np.where((x == 0) | (y == 0), 0, prod)
 
     # -- element constructors -------------------------------------------------
 
@@ -314,7 +303,7 @@ class GF:
         coeffs = [int(c) % self.p for c in x]
         if len(coeffs) > self.m:
             raise ValueError("too many coefficients")
-        return FieldElement(self, self._undigits(coeffs))
+        return FieldElement(self, sum(c * self.p ** i for i, c in enumerate(coeffs)))
 
     @property
     def zero(self) -> "FieldElement":
@@ -385,10 +374,10 @@ class GF:
             return str(val)
         if val == 0:
             return "0"
-        digits = self._digits(val)
+        digits = _digits(val, self.p, self.m)
         parts = []
-        for power in range(len(digits) - 1, -1, -1):
-            c = digits[power] if power < len(digits) else 0
+        for power in range(self.m - 1, -1, -1):
+            c = digits[power]
             if c == 0:
                 continue
             if power == 0:
@@ -492,8 +481,7 @@ class FieldElement:
 
     @property
     def coeffs(self) -> tuple[int, ...]:
-        d = self.field._digits(self.val)
-        return tuple(d + [0] * (self.field.m - len(d)))
+        return tuple(_digits(self.val, self.field.p, self.field.m))
 
     def is_zero(self) -> bool:
         return self.val == 0
@@ -558,11 +546,8 @@ def find_element_of_order(field: GF, n: int) -> FieldElement:
         raise ValueError(f"order must be positive, got {n}")
     if (field.q - 1) % n != 0:
         raise ValueError(f"no element of order {n} in {field!r}: {n} does not divide q-1")
-    for v in range(1, field.q):
-        e = field.from_value(v)
-        if e.order() == n:
-            return e
-    raise AssertionError("unreachable: divisor of q-1 must be realized")
+    step = (field.q - 1) // n  # the elements of order n are g^(k*step), gcd(k, n) = 1
+    return field.from_value(min(field._exp[k * step] for k in range(n) if gcd(k, n) == 1))
 
 
 def parse_field_spec(spec: str, modulus: Sequence[int] | None = None) -> GF:
@@ -572,16 +557,10 @@ def parse_field_spec(spec: str, modulus: Sequence[int] | None = None) -> GF:
         p_str, _, m_str = text.partition("^")
         return GF(int(p_str), int(m_str), modulus)
     q = int(text)
-    if is_prime(q):
-        return GF(q, 1, modulus)
-    for p in range(2, q):
-        if is_prime(p):
-            m, t = 0, q
-            while t % p == 0:
-                t //= p
-                m += 1
-            if t == 1 and m >= 1:
-                return GF(p, m, modulus)
-            if q % p == 0:
-                break
-    raise ValueError(f"{q} is not a prime power")
+    factors = prime_factors(q)
+    if len(factors) != 1:
+        raise ValueError(f"{q} is not a prime power")
+    m = 1
+    while factors[0] ** m < q:
+        m += 1
+    return GF(factors[0], m, modulus)

@@ -26,6 +26,13 @@ class BudgetExceededError(RuntimeError):
     """An exhaustive search was asked to exceed its enumeration budget."""
 
 
+def _check_budget(total: int, budget: int) -> None:
+    if total > budget:
+        raise BudgetExceededError(
+            f"enumerating {total} codewords exceeds the budget {budget}"
+        )
+
+
 class LinearCode:
     """A linear code presented by a generator matrix (rows spanning the code)."""
 
@@ -71,8 +78,9 @@ class LinearCode:
         return linalg.in_row_space(self.field, basis, pivots, vec)
 
     def codewords(self) -> np.ndarray:
-        """All q^dim codewords (budget-free; intended for small codes)."""
+        """All q^dim codewords, within the default codeword budget."""
         basis, _ = self._reduced()
+        _check_budget(self.field.q ** basis.shape[0], DEFAULT_CODEWORD_BUDGET)
         words = np.zeros((1, self.n), dtype=np.int64)
         scalars = np.arange(self.field.q, dtype=np.int64)
         for row in basis:
@@ -89,11 +97,7 @@ class LinearCode:
         basis, _ = self._reduced()
         k = basis.shape[0]
         q = self.field.q
-        total = q ** k
-        if total > budget:
-            raise BudgetExceededError(
-                f"enumerating {total} codewords exceeds the budget {budget}"
-            )
+        _check_budget(q ** k, budget)
         counts = np.zeros(self.n + 1, dtype=np.int64)
         if k == 0:
             counts[0] = 1

@@ -272,6 +272,8 @@ class Polynomial:
         of the Frobenius map on GF(q)[x]/(f) is the constants alone."""
         if self.degree < 1:  # constants, and the zero polynomial (-inf)
             return False
+        if self.degree >= 2 and self.coeffs[0] == 0:  # x divides f
+            return False
         g = self.monic()
         if poly_gcd(g, g.derivative()).degree != 0:
             return False
@@ -459,6 +461,13 @@ class RationalFunction:
             num, den = num.scale(inv), den.scale(inv)
         self.num = num
         self.den = den
+
+    @classmethod
+    def _from_coeffs(cls, field: GF, num: Sequence[int], den: Sequence[int]) -> "RationalFunction":
+        """Constructor trusting the caller: num/den is reduced, den monic."""
+        f = cls.__new__(cls)
+        f.num, f.den = Polynomial.from_values(field, num), Polynomial.from_values(field, den)
+        return f
 
     @classmethod
     def from_polynomial(cls, p: Polynomial) -> "RationalFunction":
@@ -823,7 +832,8 @@ def in_riemann_roch_space(f: RationalFunction, G: Divisor) -> bool:
     return pole_degree == f.den.degree
 
 
-_rr_basis_cache: dict[Divisor, tuple[RationalFunction, ...]] = {}
+# L(G) bases as coefficient tuples, so that no entry keeps a field's tables alive
+_rr_basis_cache: dict[tuple, tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]] = {}
 
 
 def rr_basis(G: Divisor) -> list[RationalFunction]:
@@ -834,10 +844,10 @@ def rr_basis(G: Divisor) -> list[RationalFunction]:
 
     Empty for deg G < 0.
     """
-    cached = _rr_basis_cache.get(G)
-    if cached is not None:
-        return list(cached)
     field = G.field
+    key = (field.p, field.m, field.modulus, tuple((P.sort_key(), c) for P, c in G.items()))
+    if key in _rr_basis_cache:
+        return [RationalFunction._from_coeffs(field, *f) for f in _rr_basis_cache[key]]
     d = G.degree
     if d < 0:
         return []
@@ -859,7 +869,7 @@ def rr_basis(G: Divisor) -> list[RationalFunction]:
         basis.append(f)
         xpow = xpow * Polynomial.x(field)
     if len(_rr_basis_cache) < 4096:
-        _rr_basis_cache[G] = tuple(basis)
+        _rr_basis_cache[key] = tuple((f.num.coeffs, f.den.coeffs) for f in basis)
     return basis
 
 
@@ -915,7 +925,8 @@ def place_image(mobius, place: Place) -> Place:
     Rational places move by the inverse fractional action on points; an
     irreducible defining polynomial moves by substituting the map's formula
     and clearing denominators (its roots move by the inverse action in the
-    algebraic closure), which preserves the degree.
+    algebraic closure), which preserves the degree and irreducibility, so
+    the image is not tested again.
     """
     if place.is_rational:
         return place_of_point(place.field, mobius.apply_inverse(
@@ -929,7 +940,7 @@ def place_image(mobius, place: Place) -> Place:
     moved = _linear_combination_powers(field, q.coeffs, top, bottom, d)
     if moved.degree != d:
         raise AssertionError("degree dropped while moving an irreducible place")
-    return Place.from_polynomial(moved.monic())
+    return Place._from_known_irreducible(moved.monic())
 
 
 def place_of_point(field: GF, t: ProjPoint) -> Place:

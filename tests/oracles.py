@@ -32,3 +32,95 @@ def in_riemann_roch_space_by_factoring(f, G) -> bool:
     places = [Place._from_known_irreducible(w) for w, _ in factor(f.den)]
     places += [Place.infinity(f.field)] + [p for p, c in G.items() if c < 0]
     return all(valuation(f, p) >= -G.coefficient(p) for p in places)
+
+
+# ---------------------------------------------------------------------------
+# GF(p^m) by schoolbook polynomial arithmetic over GF(p)
+# ---------------------------------------------------------------------------
+
+def _digits(val, p):
+    out = []
+    while val:
+        out.append(val % p)
+        val //= p
+    return out
+
+
+def _undigits(digits, p):
+    val = 0
+    for d in reversed(digits):
+        val = val * p + d
+    return val
+
+
+def mul_by_schoolbook(a, b, p, modulus):
+    """Product of two value-encoded elements: multiply the digit polynomials
+    over GF(p) term by term, then reduce modulo the monic modulus."""
+    da, db = _digits(a, p), _digits(b, p)
+    if not da or not db:
+        return 0
+    prod = [0] * (len(da) + len(db) - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    dm = len(modulus) - 1
+    while len(prod) > dm:
+        lead = prod.pop()
+        shift = len(prod) - dm
+        for i in range(dm):
+            prod[shift + i] = (prod[shift + i] - lead * modulus[i]) % p
+    return _undigits(prod, p)
+
+
+def pow_by_schoolbook(a, e, p, modulus):
+    result = 1
+    while e:
+        if e & 1:
+            result = mul_by_schoolbook(result, a, p, modulus)
+        a = mul_by_schoolbook(a, a, p, modulus)
+        e >>= 1
+    return result
+
+
+def is_primitive_by_schoolbook(val, p, modulus):
+    q = p ** (len(modulus) - 1)
+    return all(
+        pow_by_schoolbook(val, (q - 1) // ell, p, modulus) != 1
+        for ell in range(2, q)
+        if (q - 1) % ell == 0 and all(ell % d for d in range(2, ell))
+    )
+
+
+def log_tables_by_schoolbook(p, modulus):
+    """(g, exp, log) for the smallest primitive value g (1 in GF(2)):
+    exp[i] = g^i by repeated schoolbook multiplication, log its inverse with
+    log[0] = -1."""
+    q = p ** (len(modulus) - 1)
+    gen = next((v for v in range(2, q) if is_primitive_by_schoolbook(v, p, modulus)), 1)
+    exp = [1]
+    for _ in range(q - 2):
+        exp.append(mul_by_schoolbook(exp[-1], gen, p, modulus))
+    log = [-1] * q
+    for i, v in enumerate(exp):
+        log[v] = i
+    return gen, exp, log
+
+
+def add_digitwise(a, b, p):
+    """Sum of value-encoded elements: add base-p digits mod p."""
+    out, mult = 0, 1
+    while a or b:
+        out += ((a + b) % p) * mult
+        a //= p
+        b //= p
+        mult *= p
+    return out
+
+
+def neg_digitwise(a, p):
+    out, mult = 0, 1
+    while a:
+        out += (-(a % p) % p) * mult
+        a //= p
+        mult *= p
+    return out

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from agcyclic.cli import main
+from agcyclic.lincode import LinearCode
 
 
 def run(capsys, *argv):
@@ -118,3 +119,40 @@ def test_example_artin_schreier(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["n"] == 3 and data["cyclic"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--q", "5", "--matrix", "1,0;0,2", "--alpha", "1", "--beta", "inf", "--r", "2"],
+    ["construct", "--q", "5", "--matrix", "1,2;0,2", "--alpha", "0", "--beta", "2", "--r", "1",
+     "--pole-basis", "--json"],
+    ["construct", "--q", "2^2", "--matrix", "1,1;b,0", "--alpha", "1", "--G", "1*poly:b+1,b+1,1"],
+    ["example", "roots-of-unity", "--q", "3^2", "--n", "8", "--r", "2", "--s", "3"],
+    ["example", "frobenius", "--p", "2", "--m", "2", "--r", "1", "--s", "0", "--json"],
+    ["example", "artin-schreier", "--q", "3^2", "--s", "2"],
+], ids=["construct-beta", "construct-pole-basis", "construct-G", "example-roots-of-unity",
+        "example-frobenius", "example-artin-schreier"])
+def test_cli_enumerates_each_code_once(capsys, monkeypatch, argv):
+    calls = []
+    original = LinearCode.weight_distribution
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.n)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(LinearCode, "weight_distribution", counted)
+    code, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_example_honours_codeword_budget(capsys):
+    """--budget-codewords bounds the code's d and weight enumerator; the
+    example's report keeps the default budget."""
+    code, out = run(
+        capsys, "example", "roots-of-unity", "--q", "7", "--n", "6", "--r", "1", "--s", "1",
+        "--budget-codewords", "10", "--json",
+    )
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["d"] is None and doc["weight_enumerator"] is None
+    assert doc["report"]["distance"] == 4

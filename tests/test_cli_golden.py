@@ -2,10 +2,13 @@
 
 ``golden_cli.json`` holds, for each argv, the exit code and either the
 exact stdout or (for outputs over 20000 characters, the GF(2^16) and
-GF(3^10) element lists) its length and sha256.  The file was recorded from
-the library before the irreducibility and Riemann-Roch membership tests were
-consolidated; a refactor must reproduce it byte for byte, so never
-regenerate it to make this test pass.
+GF(3^10) element lists) its length and sha256.  The first 72 entries were
+recorded from the library before the irreducibility and Riemann-Roch
+membership tests were consolidated, the eight ``field`` entries after them
+(GF(65521), GF(7^3), GF(3^5), GF(2^12)) and the three calls with a small
+``--budget-codewords`` before the field tables were rebuilt on linear
+algebra and Zech logarithms; a refactor must reproduce them byte for byte,
+so never regenerate the file to make this test pass.
 """
 
 import contextlib

@@ -1,14 +1,43 @@
 """Finite field construction, canonical choices, orders, Frobenius orbits."""
 
+import random
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agcyclic import (
     GF,
+    Polynomial,
     find_element_of_order,
     frobenius_orbit,
     parse_field_spec,
     primitive_element,
 )
+from agcyclic.gf import is_prime
+from oracles import (
+    add_digitwise,
+    is_irreducible_by_trial_division,
+    is_primitive_by_schoolbook,
+    log_tables_by_schoolbook,
+    mul_by_schoolbook,
+    neg_digitwise,
+)
+
+
+def prime_powers(limit):
+    """(p, m) for every prime power p^m <= limit."""
+    return [
+        (p, m)
+        for p in range(2, limit + 1)
+        if is_prime(p)
+        for m in range(1, limit.bit_length())
+        if p ** m <= limit
+    ]
+
+
+ODD_EXTENSIONS = [(p, m) for p, m in prime_powers(243) if p > 2 and m > 1]
 
 
 def brute_order(a):
@@ -181,6 +210,10 @@ def test_find_element_of_order():
     e = find_element_of_order(f9, 4)
     for v in range(1, e.val):
         assert f9.from_value(v).order() != 4
+    for field in (GF(13), GF(2, 4), GF(3, 3), GF(5, 2)):
+        for n in (n for n in range(1, field.q) if (field.q - 1) % n == 0):
+            smallest = next(v for v in range(1, field.q) if brute_order(field.from_value(v)) == n)
+            assert find_element_of_order(field, n).val == smallest
 
 
 def test_string_round_trip():
@@ -198,3 +231,103 @@ def test_parse_field_spec():
     assert parse_field_spec("9").q == 9 and parse_field_spec("9").p == 3
     with pytest.raises(ValueError):
         parse_field_spec("6")
+
+
+# ---------------------------------------------------------------------------
+# table build against the schoolbook oracle
+# ---------------------------------------------------------------------------
+
+def test_tables_equal_schoolbook_oracle_up_to_1024():
+    for p, m in prime_powers(1024):
+        field = GF(p, m)
+        gen, exp, log = log_tables_by_schoolbook(p, field.modulus)
+        assert (field._gen_val, field._exp, field._log) == (gen, exp, log), (p, m)
+
+
+def test_canonical_moduli_are_first_irreducibles_up_to_1024():
+    for p, m in prime_powers(1024):
+        if m == 1:
+            continue
+        prime = GF(p)
+        first = next(
+            tail for tail in range(p ** m)
+            if is_irreducible_by_trial_division(
+                Polynomial.from_values(prime, [tail // p ** i % p for i in range(m)] + [1])
+            )
+        )
+        assert GF(p, m).modulus == tuple(first // p ** i % p for i in range(m)) + (1,)
+
+
+@pytest.mark.parametrize("p,m", [(2, 16), (3, 10), (65521, 1)])
+def test_large_field_tables_spot_checked(p, m):
+    field = GF(p, m)
+    q, gen, exp = field.q, field._gen_val, field._exp
+    assert sorted(exp) == list(range(1, q))
+    assert all(field._log[v] == i for i, v in enumerate(exp))
+    start = random.Random(q).randrange(q - 1)
+    for i in range(start, start + 2000):
+        nxt = exp[(i + 1) % (q - 1)]
+        assert mul_by_schoolbook(exp[i % (q - 1)], gen, p, field.modulus) == nxt
+    assert is_primitive_by_schoolbook(gen, p, field.modulus)
+    assert not any(is_primitive_by_schoolbook(v, p, field.modulus) for v in range(2, gen))
+
+
+# ---------------------------------------------------------------------------
+# Zech addition against digitwise addition
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("p,m", ODD_EXTENSIONS, ids=lambda v: str(v))
+def test_zech_add_neg_sub_exhaustive(p, m):
+    field = GF(p, m)
+    for a in range(field.q):
+        assert field.neg_i(a) == neg_digitwise(a, p)
+        for b in range(field.q):
+            total = add_digitwise(a, b, p)
+            assert field.add_i(a, b) == total
+            assert field.sub_i(total, b) == a
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (3, 3), (5, 2), (3, 4), (7, 2), (3, 5), (7, 3), (3, 10),
+                                 (7, 1), (2, 8)])
+def test_np_add_and_np_mul_match_scalar(p, m):
+    field = GF(p, m)
+    rng = np.random.default_rng(field.q)
+    x = rng.integers(0, field.q, (40, 25))
+    y = rng.integers(0, field.q, (40, 25))
+    x[0], y[1] = 0, 0  # rows with zero operands
+    y[2] = [field.neg_i(int(v)) for v in x[2]]  # rows summing to zero
+    assert field.np_add(x, y).tolist() == [
+        [add_digitwise(int(a), int(b), p) for a, b in zip(r, s)] for r, s in zip(x, y)
+    ]
+    assert field.np_mul(x, y).tolist() == [
+        [field.mul_i(int(a), int(b)) for a, b in zip(r, s)] for r, s in zip(x, y)
+    ]
+    assert field.np_add(x, y[:1]).shape == x.shape  # broadcasting
+
+
+# ---------------------------------------------------------------------------
+# field axioms as properties, one field per shape class
+# ---------------------------------------------------------------------------
+
+AXIOM_FIELDS = [GF(13), GF(65521), GF(2, 8), GF(3, 5), GF(7, 2), GF(2, 16)]
+
+
+@pytest.mark.parametrize("field", AXIOM_FIELDS, ids=repr)
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(data=st.data())
+def test_field_axioms_property(field, data):
+    a, b, c = (data.draw(st.integers(0, field.q - 1)) for _ in range(3))
+    add, mul, neg = field.add_i, field.mul_i, field.neg_i
+    assert add(a, b) == add(b, a) and mul(a, b) == mul(b, a)
+    assert add(add(a, b), c) == add(a, add(b, c))
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    assert add(a, 0) == a and mul(a, 1) == a and mul(a, 0) == 0
+    assert add(a, neg(a)) == 0 and field.sub_i(add(a, b), b) == a
+    if a:
+        assert mul(a, field.inv_i(a)) == 1
+        assert field.div_i(mul(a, b), a) == b
+        assert field.pow_i(a, field.q - 1) == 1
+    xs, ys = np.array([a, b, c]), np.array([b, c, a])
+    assert field.np_add(xs, ys).tolist() == [add(a, b), add(b, c), add(c, a)]
+    assert field.np_mul(xs, ys).tolist() == [mul(a, b), mul(b, c), mul(c, a)]

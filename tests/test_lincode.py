@@ -81,6 +81,14 @@ def test_budget_guard():
         code.min_distance(budget=100)
 
 
+def test_codewords_budget_guard():
+    # 16^6 > 10^7 words: refused before any block is allocated
+    with pytest.raises(BudgetExceededError):
+        LinearCode(GF(2, 4), np.eye(6, dtype=np.int64)).codewords()
+    words = LinearCode(F7, [[1, 1, 1]]).codewords()
+    assert sorted(words[:, 0].tolist()) == list(range(7))
+
+
 def test_is_cyclic():
     code, _ = roots_of_unity_code(F7, 6, 1, 1)
     assert code.is_cyclic()

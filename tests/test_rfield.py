@@ -1,6 +1,8 @@
 """Polynomials, rational functions, places, divisors, Riemann-Roch spaces."""
 
+import gc
 import random
+import weakref
 from itertools import product
 
 import pytest
@@ -195,6 +197,30 @@ def test_place_image_composition_and_degree():
     ]
     images = {place_image(A, P) for P in quadratics}
     assert images == set(quadratics)
+    # images of irreducible places are irreducible (degrees 2 and 3)
+    cubics = [
+        Place.from_polynomial(Polynomial(F5, [c0, c1, c2, 1]))
+        for c0, c1, c2 in product(range(5), repeat=3)
+        if Polynomial(F5, [c0, c1, c2, 1]).is_irreducible()
+    ]
+    for P in places + quadratics + cubics:
+        for M in (A, Bm, Bm * A):
+            image = place_image(M, P)
+            assert image.is_rational or is_irreducible_by_trial_division(image.poly)
+
+
+def test_rr_basis_cache_keeps_no_field_alive():
+    field = GF(3, 4)
+    G = Divisor(field, {Place.at(field.from_value(5)): 3, Place.infinity(field): 2})
+    first = [str(f) for f in rr_basis(G)]
+    # a cache hit over an equal field gives the same basis over that field
+    again = rr_basis(Divisor(GF(3, 4), {Place.at(GF(3, 4).from_value(5)): 3,
+                                        Place.infinity(GF(3, 4)): 2}))
+    assert [str(f) for f in again] == first and again[0].field == field
+    ref = weakref.ref(field)
+    del field, G, again
+    gc.collect()
+    assert ref() is None
 
 
 def test_rr_basis_polynomials():
