@@ -85,10 +85,7 @@ def _projective_points(field: GF):
 def _non_fixed_points(matrix: MobiusMap):
     fixed = matrix.fixed_points()
     for t in _projective_points(matrix.field):
-        if is_infinite(t):
-            if not any(is_infinite(f) for f in fixed):
-                yield t
-        elif not any((not is_infinite(f)) and f == t for f in fixed):
+        if t not in fixed:
             yield t
 
 
@@ -112,10 +109,7 @@ def criterion_1() -> CriterionResult:
     ok &= matrix.order() == 5
     expected = (field.one, beta, beta + field.one, INF, field.zero)
     orb = matrix.orbit(field.one)
-    ok &= len(orb) == 5 and all(
-        (a is INF and b is INF) or (a is not INF and b is not INF and a == b)
-        for a, b in zip(orb, expected)
-    )
+    ok &= orb == expected
     b2 = beta * beta
     Q = Place.from_polynomial(Polynomial(field, [b2, b2, field.one]))
     ok &= place_image(matrix, Q) == Q
@@ -299,11 +293,7 @@ def criterion_6() -> CriterionResult:
                         moved = transport_zero_to_infinity(spec)
                         checked += 1
                         inverted = tuple(invert_point(field, t) for t in spec.orbit)
-                        same_orbit = all(
-                            (s is INF and t is INF) or (s is not INF and t is not INF and s == t)
-                            for s, t in zip(moved.orbit, inverted)
-                        )
-                        if not same_orbit or not construct_orbit_code(spec).equals(
+                        if moved.orbit != inverted or not construct_orbit_code(spec).equals(
                             construct_orbit_code(moved)
                         ):
                             failures.append(("to-inf", q, str(matrix), str(alpha), r))

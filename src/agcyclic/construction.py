@@ -40,7 +40,6 @@ from .pgl2 import (
     INF,
     MobiusMap,
     ProjPoint,
-    _points_equal,
     geometric_sum,
     is_infinite,
     triangular_params,
@@ -99,13 +98,13 @@ class OrbitCodeSpec:
     def __init__(self, matrix: MobiusMap, alpha: ProjPoint, beta: ProjPoint, r: int):
         if matrix.is_identity():
             raise ValueError("the identity matrix generates no orbit")
-        if _points_equal(matrix.apply_inverse(alpha), alpha):
+        if matrix.apply_inverse(alpha) == alpha:
             raise ValueError(f"seed {alpha} is fixed by the matrix")
-        if not _points_equal(matrix.apply_inverse(beta), beta):
+        if matrix.apply_inverse(beta) != beta:
             raise ValueError(f"pole point {beta} is not fixed by the matrix")
         orbit = matrix.orbit(alpha)
         n = len(orbit)
-        if any(_points_equal(beta, t) for t in orbit):
+        if beta in orbit:
             raise ValueError("pole point lies on the orbit")  # unreachable: beta is fixed
         if not 1 <= r <= n - 2:
             raise ValueError(f"pole order must satisfy 1 <= r <= n-2 = {n - 2}, got {r}")
@@ -205,13 +204,14 @@ class CyclicityReport:
 
 
 def _induced_shift_solvable(code: LinearCode) -> bool:
-    """Eq-system check: for each generator row u there is v in the row space
-    with v(P_i) = u(P_{i+1 mod n}), solved by linear algebra."""
-    for row in code.generator:
-        target = np.roll(row, -1)
-        if linalg.solve_coordinates(code.field, code.generator, target) is None:
-            return False
-    return True
+    """Eq-system check: for each row u of the reduced basis there is v in the
+    row space with v(P_i) = u(P_{i+1 mod n}), solved by linear algebra against
+    that basis (the generator may have many more, dependent, rows)."""
+    basis = code.rref
+    return all(
+        linalg.solve_coordinates(code.field, basis, np.roll(row, -1)) is not None
+        for row in basis
+    )
 
 
 def verify_cyclic_construction(
@@ -392,7 +392,7 @@ def closed_standard_form(matrix: MobiusMap, alpha: FieldElement, r: int) -> np.n
         raise ValueError(f"matrix order must be >= 3, got {n}")
     if is_infinite(alpha):
         raise ValueError("seed must be finite")
-    if _points_equal(matrix.apply_inverse(alpha), alpha):
+    if matrix.apply_inverse(alpha) == alpha:
         raise ValueError("seed is fixed by the matrix")
     if not 1 <= r <= n - 2:
         raise ValueError(f"need 1 <= r <= n-2 = {n - 2}, got {r}")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .pgl2 import INF, MobiusMap, ProjPoint, is_infinite
+from .pgl2 import MobiusMap, ProjPoint, is_infinite
 from .rfield import (
     Place,
     Polynomial,
@@ -131,10 +131,7 @@ def splitting_report(matrix: MobiusMap, alpha: ProjPoint) -> SplittingReport:
     n = len(orbit)
     values = [gen.z.eval_projective(point) for point in orbit]
     first = values[0]
-    constant = all(
-        (v is INF and first is INF) or (v is not INF and first is not INF and v == first)
-        for v in values
-    )
+    constant = all(v == first for v in values)
     fiber = fiber_decomposition(gen, first)
     field = matrix.field
     orbit_places = {

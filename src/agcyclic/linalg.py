@@ -1,8 +1,14 @@
 """Row reduction and kernels for integer-encoded matrices over a GF field.
 
 Matrices cross the API as 2-D numpy int64 arrays holding element values in
-[0, q); the row operations themselves run on plain Python ints, which is
-faster at the small shapes used throughout (n <= 16).
+[0, q); the row operations themselves run on plain Python ints.  At the
+shapes the library meets (a few to a few dozen rows, n up to 26 in the
+benchmark sweep) that is faster than numpy: with `_rref_rows` ported to
+whole-row `np_mul`/`np_add` updates, the first cycle of the benchmark's
+`equiv` workload (seed 5) took 6.6-7.3 s instead of 3.4-4.3 s (3 runs each,
+2-vCPU Xeon VM, Python 3.11, numpy 2.4).  `_rref_rows` is the one
+elimination: kernels and coordinates are read off its output, and
+`in_row_space` reduces one vector against a basis it produced.
 """
 
 from __future__ import annotations
@@ -67,51 +73,32 @@ def rref(field: GF, mat: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     return np.array(reduced, dtype=np.int64), pivots
 
 
-def rank(field: GF, mat: np.ndarray) -> int:
-    return rref(field, mat)[0].shape[0]
-
-
-def reduce_against(field: GF, basis: np.ndarray, pivots: tuple[int, ...], vec) -> list[int]:
-    """Residual of vec after elimination against an rref basis."""
+def in_row_space(field: GF, basis: np.ndarray, pivots: tuple[int, ...], vec) -> bool:
+    """Whether vec reduces to zero against an rref basis with these pivots."""
     mul, sub = field.mul_i, field.sub_i
     v = [int(x) for x in vec]
     n = len(v)
-    for i, c in enumerate(pivots):
+    for row, c in zip(basis.tolist(), pivots):
         f = v[c]
         if f:
-            row = basis[i]
-            v = [sub(v[j], mul(f, int(row[j]))) for j in range(n)]
-    return v
-
-
-def in_row_space(field: GF, basis: np.ndarray, pivots: tuple[int, ...], vec) -> bool:
-    return not any(reduce_against(field, basis, pivots, vec))
+            v = [sub(v[j], mul(f, row[j])) for j in range(n)]
+    return not any(v)
 
 
 def solve_coordinates(field: GF, mat: np.ndarray, vec) -> np.ndarray | None:
-    """Coefficients c with c . mat = vec, or None when vec is outside the row space."""
-    nrows, ncols = mat.shape
-    rows = [list(map(int, row)) + [1 if j == i else 0 for j in range(nrows)]
-            for i, row in enumerate(mat)]
-    reduced, pivots = _rref_rows(field, rows, ncols + nrows)
-    mul, sub, add = field.mul_i, field.sub_i, field.add_i
-    v = [int(x) for x in vec]
-    coeff = [0] * nrows
-    for i, c in enumerate(pivots):
-        if c >= ncols:
-            break
-        f = v[c]
-        if f:
-            row = reduced[i]
-            v = [sub(v[j], mul(f, row[j])) for j in range(ncols)]
-            coeff = [add(coeff[j], mul(f, row[ncols + j])) for j in range(nrows)]
-    if any(v):
+    """Coefficients c with c . mat = vec, or None when vec is outside the row
+    space.  The left kernel of vec stacked over mat holds a row (t, c') with
+    t != 0 exactly when vec is in the row space; being in rref, its first
+    row then has t = 1, and c = -c'."""
+    kernel = left_kernel(field, np.vstack([np.asarray(vec, dtype=np.int64), mat]))
+    if kernel.shape[0] == 0 or kernel[0, 0] == 0:
         return None
-    return np.array(coeff, dtype=np.int64)
+    return field.np_mul(kernel[0, 1:], field.neg_i(1))
 
 
 def left_kernel(field: GF, mat: np.ndarray) -> np.ndarray:
-    """Basis (as rows) of {v : v . mat = 0}."""
+    """Basis of {v : v . mat = 0}, as the rows of a matrix in reduced row
+    echelon form."""
     nrows, ncols = mat.shape
     rows = [list(map(int, row)) + [1 if j == i else 0 for j in range(nrows)]
             for i, row in enumerate(mat)]
@@ -120,7 +107,3 @@ def left_kernel(field: GF, mat: np.ndarray) -> np.ndarray:
     if not out:
         return np.zeros((0, nrows), dtype=np.int64)
     return np.array(out, dtype=np.int64)
-
-
-def right_kernel(field: GF, mat: np.ndarray) -> np.ndarray:
-    return left_kernel(field, mat.T)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import permutations
 
 import numpy as np
 
@@ -31,6 +31,19 @@ def _check_budget(total: int, budget: int) -> None:
         raise BudgetExceededError(
             f"enumerating {total} codewords exceeds the budget {budget}"
         )
+
+
+def _span(field: GF, basis: np.ndarray) -> np.ndarray:
+    """All q^k combinations of the k rows of basis, in lexicographic order of
+    the coefficient vectors (the first row's coefficient slowest); row 0 is
+    the zero word."""
+    n = basis.shape[1]
+    words = np.zeros((1, n), dtype=np.int64)
+    scalars = np.arange(field.q, dtype=np.int64)
+    for row in basis:
+        multiples = field.np_mul(scalars[:, None], row[None, :])
+        words = field.np_add(words[:, None, :], multiples[None, :, :]).reshape(-1, n)
+    return words
 
 
 class LinearCode:
@@ -81,47 +94,25 @@ class LinearCode:
         """All q^dim codewords, within the default codeword budget."""
         basis, _ = self._reduced()
         _check_budget(self.field.q ** basis.shape[0], DEFAULT_CODEWORD_BUDGET)
-        words = np.zeros((1, self.n), dtype=np.int64)
-        scalars = np.arange(self.field.q, dtype=np.int64)
-        for row in basis:
-            multiples = self.field.np_mul(scalars[:, None], row[None, :])
-            words = self.field.np_add(words[:, None, :], multiples[None, :, :]).reshape(
-                -1, self.n
-            )
-        return words
+        return _span(self.field, basis)
 
     # -- parameters ----------------------------------------------------------------
 
     def weight_distribution(self, budget: int = DEFAULT_CODEWORD_BUDGET) -> np.ndarray:
-        """Exact weight counts W[0..n] by exhaustive enumeration."""
+        """Exact weight counts W[0..n] by exhaustive enumeration: the span of
+        the leading rows as one block of at most _CHUNK words, shifted by each
+        nonzero combination of the remaining rows."""
         basis, _ = self._reduced()
         k = basis.shape[0]
         q = self.field.q
         _check_budget(q ** k, budget)
-        counts = np.zeros(self.n + 1, dtype=np.int64)
-        if k == 0:
-            counts[0] = 1
-            return counts
-        scalars = np.arange(q, dtype=np.int64)
         lead = 0
-        block = np.zeros((1, self.n), dtype=np.int64)
-        while lead < k and block.shape[0] * q <= _CHUNK:
-            multiples = self.field.np_mul(scalars[:, None], basis[lead][None, :])
-            block = self.field.np_add(
-                block[:, None, :], multiples[None, :, :]
-            ).reshape(-1, self.n)
+        while lead < k and q ** (lead + 1) <= _CHUNK:
             lead += 1
-        rest = basis[lead:]
-        if rest.shape[0] == 0:
-            weights = np.count_nonzero(block, axis=1)
-            return np.bincount(weights, minlength=self.n + 1).astype(np.int64)
-        for combo in product(range(q), repeat=rest.shape[0]):
-            offset = np.zeros(self.n, dtype=np.int64)
-            for cval, row in zip(combo, rest):
-                if cval:
-                    offset = self.field.np_add(offset, self.field.np_mul(cval, row))
-            chunk = self.field.np_add(block, offset[None, :])
-            weights = np.count_nonzero(chunk, axis=1)
+        block = _span(self.field, basis[:lead])
+        counts = np.bincount(np.count_nonzero(block, axis=1), minlength=self.n + 1)
+        for offset in _span(self.field, basis[lead:])[1:]:
+            weights = np.count_nonzero(self.field.np_add(block, offset[None, :]), axis=1)
             counts += np.bincount(weights, minlength=self.n + 1)
         return counts
 
@@ -186,17 +177,18 @@ class LinearCode:
         return hash((self.field.p, self.field.m, self.n, basis.tobytes()))
 
     def apply_monomial(self, witness: np.ndarray) -> "LinearCode":
-        """The code C.M for a monomial matrix M (values in [0, q))."""
-        moved = np.zeros_like(self.generator)
-        field = self.field
-        for i in range(self.n):
-            for j in range(self.n):
-                v = int(witness[i, j])
-                if v:
-                    moved[:, j] = field.np_add(
-                        moved[:, j], field.np_mul(v, self.generator[:, i])
-                    )
-        return LinearCode(field, moved)
+        """The code C.M for a monomial matrix M (values in [0, q)): column j
+        of C.M is M[i, j] times column i of C, for the one i with M[i, j] != 0."""
+        witness = np.asarray(witness)
+        if (
+            witness.shape != (self.n, self.n)
+            or (np.count_nonzero(witness, axis=0) != 1).any()
+            or (np.count_nonzero(witness, axis=1) != 1).any()
+        ):
+            raise ValueError("witness is not an n x n monomial matrix")
+        source = np.argmax(witness != 0, axis=0)
+        scale = witness[source, np.arange(self.n)]
+        return LinearCode(self.field, self.field.np_mul(self.generator[:, source], scale[None, :]))
 
     def __repr__(self) -> str:
         return f"LinearCode(n={self.n}, k={self.dimension()} over {self.field!r})"
@@ -256,30 +248,16 @@ def _scaling_for_permutation(
     n = permuted_rref.shape[1]
     if checks.shape[0] == 0 or permuted_rref.shape[0] == 0:
         return np.ones(n, dtype=np.int64)  # zero or full-space code: any scaling
-    rows = []
-    for h in checks:
-        for w in permuted_rref:
-            rows.append(field.np_mul(h, w))
-    system = np.array(rows, dtype=np.int64)
+    system = field.np_mul(checks[:, None, :], permuted_rref[None, :, :]).reshape(-1, n)
     kernel = linalg.left_kernel(field, system.T)
-    dim = kernel.shape[0]
-    if dim == 0:
+    # decided before the budget check: no kernel, or a coordinate forced to zero
+    if kernel.shape[0] == 0 or not kernel.any(axis=0).all():
         return None
-    if any(not kernel[:, j].any() for j in range(n)):
-        return None  # some coordinate is forced to zero
-    if field.q ** dim > 1 << 16:
+    if field.q ** kernel.shape[0] > 1 << 16:
         raise BudgetExceededError("scaling search space too large")
-    scalars = range(field.q)
-    for combo in product(scalars, repeat=dim):
-        if all(c == 0 for c in combo):
-            continue
-        vec = np.zeros(n, dtype=np.int64)
-        for cval, basis_row in zip(combo, kernel):
-            if cval:
-                vec = field.np_add(vec, field.np_mul(cval, basis_row))
-        if vec.all():
-            return vec
-    return None
+    words = _span(field, kernel)
+    hits = np.flatnonzero(words.all(axis=1))
+    return words[hits[0]] if hits.size else None
 
 
 def monomial_equivalence(
@@ -312,7 +290,7 @@ def monomial_equivalence(
         )
     field = c1.field
     g1, _ = c1._reduced()
-    checks = linalg.right_kernel(field, c2.rref)
+    checks = linalg.left_kernel(field, c2.rref.T)
     undecided = False
     for perm in permutations(range(n)):
         permuted = g1[:, perm]
@@ -324,8 +302,7 @@ def monomial_equivalence(
         if scaling is None:
             continue
         witness = np.zeros((n, n), dtype=np.int64)
-        for pos, src in enumerate(perm):
-            witness[src, pos] = int(scaling[pos])
+        witness[list(perm), np.arange(n)] = scaling
         moved = c1.apply_monomial(witness)
         if not moved.equals(c2):
             raise AssertionError("scaling feasibility produced a bad witness")

@@ -139,18 +139,6 @@ class MobiusMap:
             return INF
         return (d * t - b) / denom
 
-    def apply(self, t: ProjPoint) -> ProjPoint:
-        """Forward fractional action (a t + b)/(c t + d)."""
-        a, b, c, d = self.a, self.b, self.c, self.d
-        if is_infinite(t):
-            if c.is_zero():
-                return INF
-            return a / c
-        denom = c * t + d
-        if denom.is_zero():
-            return INF
-        return (a * t + b) / denom
-
     def fixed_points(self) -> set[ProjPoint]:
         """All t in the projective line with A^{-1}.t = t."""
         out = set()
@@ -169,13 +157,13 @@ class MobiusMap:
         if self.is_identity():
             raise ValueError("orbits of the identity are trivial")
         first = self.apply_inverse(alpha)
-        if _points_equal(first, alpha):
+        if first == alpha:
             raise ValueError(f"{alpha} is a fixed point; its orbit is trivial")
         out = [alpha, first]
         cur = first
         while True:
             cur = self.apply_inverse(cur)
-            if _points_equal(cur, alpha):
+            if cur == alpha:
                 break
             out.append(cur)
             if len(out) > self.field.q + 1:
@@ -186,8 +174,7 @@ class MobiusMap:
         """Order of the stabilizer of alpha inside the cyclic group generated
         by this map; equals order/|orbit|."""
         m = self.order()
-        first = self.apply_inverse(alpha)
-        if _points_equal(first, alpha):
+        if self.apply_inverse(alpha) == alpha:
             return m
         return m // len(self.orbit(alpha))
 
@@ -211,12 +198,6 @@ class MobiusMap:
 
     def __repr__(self) -> str:
         return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"
-
-
-def _points_equal(s: ProjPoint, t: ProjPoint) -> bool:
-    if is_infinite(s) or is_infinite(t):
-        return s is t
-    return s == t
 
 
 # ---------------------------------------------------------------------------

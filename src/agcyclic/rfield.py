@@ -627,8 +627,6 @@ class Place:
         if (self.point is None) != (other.point is None):
             return False
         if self.point is not None:
-            if self.point is INF or other.point is INF:
-                return self.point is other.point
             return self.point == other.point
         return self.poly == other.poly
 

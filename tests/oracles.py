@@ -6,9 +6,13 @@ test scale.
 """
 
 from itertools import product
+from math import comb
 
-from agcyclic import Place, Polynomial, factor, valuation
-from agcyclic.rfield import NEG_INF
+import numpy as np
+
+from agcyclic import BudgetExceededError, Place, Polynomial, factor, valuation
+from agcyclic.linalg import left_kernel
+from agcyclic.rfield import INF, NEG_INF
 
 
 def is_irreducible_by_trial_division(f: Polynomial) -> bool:
@@ -123,4 +127,69 @@ def neg_digitwise(a, p):
         out += (-(a % p) % p) * mult
         a //= p
         mult *= p
+    return out
+
+
+# ---------------------------------------------------------------------------
+# projective points, scalings and weight distributions
+# ---------------------------------------------------------------------------
+
+def points_equal(s, t) -> bool:
+    """Equality on the projective line, with the point at infinity compared
+    by identity and finite points by value."""
+    if s is INF or t is INF:
+        return s is t
+    return s == t
+
+
+def scaling_by_product_loop(field, permuted_rref, checks):
+    """The first all-nonzero scaling d (in itertools.product order of the
+    coefficients on the kernel basis) with every row of permuted_rref,
+    rescaled by d, orthogonal to every row of checks; None when there is
+    none.  The system is built one product at a time and each candidate by
+    repeated addition."""
+    n = permuted_rref.shape[1]
+    if checks.shape[0] == 0 or permuted_rref.shape[0] == 0:
+        return np.ones(n, dtype=np.int64)
+    rows = []
+    for h in checks:
+        for w in permuted_rref:
+            rows.append(field.np_mul(h, w))
+    kernel = left_kernel(field, np.array(rows, dtype=np.int64).T)
+    dim = kernel.shape[0]
+    if dim == 0:
+        return None
+    if any(not kernel[:, j].any() for j in range(n)):
+        return None
+    if field.q ** dim > 1 << 16:
+        raise BudgetExceededError("scaling search space too large")
+    for combo in product(range(field.q), repeat=dim):
+        if all(c == 0 for c in combo):
+            continue
+        vec = np.zeros(n, dtype=np.int64)
+        for cval, basis_row in zip(combo, kernel):
+            if cval:
+                vec = field.np_add(vec, field.np_mul(cval, basis_row))
+        if vec.all():
+            return vec
+    return None
+
+
+def krawtchouk(q, n, j, i):
+    """K_j(i) = sum_s (-1)^s (q-1)^(j-s) C(i, s) C(n-i, j-s), in integers."""
+    return sum(
+        (-1) ** s * (q - 1) ** (j - s) * comb(i, s) * comb(n - i, j - s)
+        for s in range(j + 1)
+    )
+
+
+def dual_weights_by_macwilliams(q, n, k, counts):
+    """Weight distribution of the dual of a q-ary [n, k] code with weight
+    distribution counts: B_j = q^-k sum_i A_i K_j(i), exactly."""
+    out = []
+    for j in range(n + 1):
+        total = sum(int(a) * krawtchouk(q, n, j, i) for i, a in enumerate(counts))
+        if total % q ** k:
+            raise AssertionError("MacWilliams transform is not integral")
+        out.append(total // q ** k)
     return out

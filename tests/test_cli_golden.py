@@ -7,7 +7,11 @@ recorded from the library before the irreducibility and Riemann-Roch
 membership tests were consolidated, the eight ``field`` entries after them
 (GF(65521), GF(7^3), GF(3^5), GF(2^12)) and the three calls with a small
 ``--budget-codewords`` before the field tables were rebuilt on linear
-algebra and Zech logarithms; a refactor must reproduce them byte for byte,
+algebra and Zech logarithms, and the last eight (three ``equiv`` pairs
+whose scalings have two components, over GF(7), GF(9) and GF(8), and a
+``verify`` with G = 50*inf, each as text and ``--json``) before the
+linear-code engine got one elimination and one span enumerator; a
+refactor must reproduce them byte for byte,
 so never regenerate the file to make this test pass.
 """
 

@@ -25,6 +25,7 @@ from agcyclic import (
     transport_zero_to_infinity,
     verify_cyclic_construction,
 )
+from agcyclic import linalg
 
 F4 = GF(2, 2)
 F5 = GF(5)
@@ -110,6 +111,25 @@ def test_report_flags_are_independent():
     D = [place_of_point(F5, t) for t in swapped]
     report = verify_cyclic_construction(matrix, D, Divisor.of_place(Place.infinity(F5), 1))
     assert report.d_invariant and not report.shift_condition
+
+
+def test_induced_shift_solved_against_the_reduced_basis(monkeypatch):
+    """L(20*inf) gives 21 generator rows spanning a code of dimension 4; each
+    shift is solved against the 4 rows of its reduced basis."""
+    matrix = MobiusMap.from_string(F5, "1,0;0,2")
+    D = [place_of_point(F5, F5.element(v)) for v in (1, 2, 4, 3)]
+    G = Divisor.of_place(Place.infinity(F5), 20)
+    rows = []
+    solve = linalg.solve_coordinates
+
+    def spy(field, mat, vec):
+        rows.append(mat.shape[0])
+        return solve(field, mat, vec)
+
+    monkeypatch.setattr(linalg, "solve_coordinates", spy)
+    report = verify_cyclic_construction(matrix, D, G)
+    assert report.induced_shift_solvable and report.dimension == 4
+    assert rows and max(rows) <= report.dimension
 
 
 def test_pole_basis_spans_same_code():

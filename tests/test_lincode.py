@@ -1,9 +1,13 @@
 """Linear-code engine: parameters, cyclicity, standard form, equivalence."""
 
-from itertools import product
+import random
+from collections import Counter
+from itertools import permutations, product
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from agcyclic import (
     GF,
@@ -15,6 +19,10 @@ from agcyclic import (
     roots_of_unity_code,
     rr_basis,
 )
+from agcyclic.linalg import left_kernel
+from agcyclic.lincode import _scaling_for_permutation, _span
+from oracles import dual_weights_by_macwilliams, scaling_by_product_loop
+from test_linalg import FIELDS, PROPERTY, combine, draw_matrix
 
 F2 = GF(2)
 F5 = GF(5)
@@ -182,6 +190,9 @@ def test_monomial_equivalence_scaled_witness():
     verdict = monomial_equivalence(base, moved)
     assert verdict.status == "EQUIVALENT"
     assert base.apply_monomial(verdict.witness).equals(moved)
+    for bad in (np.ones((3, 3), dtype=np.int64), np.diag([1, 0, 2]), np.eye(2, dtype=np.int64)):
+        with pytest.raises(ValueError):
+            base.apply_monomial(bad)
 
 
 def test_monomial_equivalence_undecided_on_budget():
@@ -195,3 +206,105 @@ def test_designed_distance_bound():
     for n, r, s in ((6, 1, 1), (6, 2, 1), (3, 1, 0)):
         code, _ = roots_of_unity_code(F7, n, r, s)
         assert code.min_distance() >= n - (r + s)
+
+
+@PROPERTY
+@given(data=st.data(), field=st.sampled_from(FIELDS))
+def test_span_lists_combinations_in_product_order(data, field):
+    basis, _ = draw_matrix(data, field, max_rows=3, max_cols=5)
+    expected = [
+        combine(field, combo, basis)
+        for combo in product(range(field.q), repeat=basis.shape[0])
+    ]
+    assert _span(field, basis).tolist() == expected
+
+
+def code_of(field, mat):
+    return LinearCode(field, mat) if mat.shape[0] else LinearCode.zero_code(field, mat.shape[1])
+
+
+@PROPERTY
+@given(data=st.data(), field=st.sampled_from(FIELDS))
+def test_macwilliams_identity_with_the_dual(data, field):
+    mat, _ = draw_matrix(data, field, max_cols=5)
+    code = code_of(field, mat)
+    dual = code_of(field, left_kernel(field, code.rref.T))
+    assert dual.dimension() == code.n - code.dimension()
+    assert dual.weight_distribution().tolist() == dual_weights_by_macwilliams(
+        field.q, code.n, code.dimension(), code.weight_distribution()
+    )
+
+
+def blocks(field, rng, n):
+    """A random generator, block diagonal with one or two blocks, so that
+    scaling kernels of dimension >= 2 are common."""
+    cut = rng.randint(1, n - 1) if n > 2 and rng.random() < 0.5 else n
+    out = np.zeros((0, n), dtype=np.int64)
+    for start, stop in ((0, cut), (cut, n)):
+        if start == stop:
+            continue
+        k = rng.randint(1, stop - start)
+        part = np.zeros((k, n), dtype=np.int64)
+        part[:, start:stop] = [[rng.randrange(field.q) for _ in range(stop - start)]
+                               for _ in range(k)]
+        out = np.vstack([out, part])
+    return out
+
+
+def scaling_outcome(search, field, permuted, checks):
+    try:
+        found = search(field, permuted, checks)
+    except BudgetExceededError:
+        return "budget"
+    return None if found is None else tuple(found.tolist())
+
+
+def test_scaling_search_matches_product_loop_oracle():
+    """_scaling_for_permutation against the product-loop search on seeded
+    random codes and monomial images of them, then on direct sums of
+    repetition codes whose scaling search reaches or passes its budget."""
+    rng = random.Random(11)
+    fields = [GF(2), GF(3), GF(5), GF(7), GF(2, 2), GF(2, 3), GF(3, 2)]
+    seen = Counter()
+
+    def check(field, permuted, checks):
+        got = scaling_outcome(_scaling_for_permutation, field, permuted, checks)
+        assert got == scaling_outcome(scaling_by_product_loop, field, permuted, checks)
+        if isinstance(got, tuple):
+            system = field.np_mul(checks[:, None, :], permuted[None, :, :]).reshape(-1, len(got))
+            seen["kernel dim >= 2" if left_kernel(field, system.T).shape[0] >= 2 else "hit"] += 1
+        else:
+            seen[got] += 1
+
+    for _ in range(200):
+        field = rng.choice(fields)
+        n = rng.randint(2, 6)
+        c1 = LinearCode(field, blocks(field, rng, n))
+        if c1.dimension() == 0:
+            continue
+        perm = list(range(n))
+        rng.shuffle(perm)
+        if rng.random() < 0.7:
+            witness = np.zeros((n, n), dtype=np.int64)
+            witness[perm, np.arange(n)] = [rng.randrange(1, field.q) for _ in range(n)]
+            c2 = c1.apply_monomial(witness)
+        else:
+            c2 = LinearCode(field, blocks(field, rng, n))
+        checks = left_kernel(field, c2.rref.T)
+        tried = list(permutations(range(n))) if n <= 4 else [
+            tuple(rng.sample(range(n), n)) for _ in range(30)]
+        for p in tried + [tuple(perm)]:
+            check(field, c1.rref[:, p], checks)
+
+    # scaling kernels of dimension `copies`: 16^4 and 9^5 words are searched,
+    # 16^6 and 9^7 pass the budget; with the first block forced to zero the
+    # search is decided (None) ahead of the budget in every case
+    for field, copies in ((GF(2, 4), 4), (GF(2, 4), 6), (GF(3, 2), 5), (GF(3, 2), 7)):
+        repetition = np.kron(np.eye(copies, dtype=np.int64), np.ones((1, 2), dtype=np.int64))
+        checks = left_kernel(field, repetition.T)
+        check(field, repetition, checks)
+        unit = np.zeros((1, 2 * copies), dtype=np.int64)
+        unit[0, 0] = 1
+        check(field, repetition, np.vstack([checks, unit]))
+    assert seen["budget"] >= 2 and seen["hit"] > 100, seen
+    assert seen["kernel dim >= 2"] > 500 and seen[None] > 1000, seen

@@ -2,8 +2,9 @@
 
 import pytest
 
-from agcyclic import GF, INF, MobiusMap, is_infinite, order_triangular, orbit_difference
+from agcyclic import GF, INF, MobiusMap, order_triangular, orbit_difference
 from agcyclic.pgl2 import all_pgl2, geometric_sum, triangular_params
+from oracles import points_equal
 
 F4 = GF(2, 2)
 F5 = GF(5)
@@ -11,10 +12,15 @@ F7 = GF(7)
 B = F4.generator
 
 
-def points_equal(s, t):
-    if is_infinite(s) or is_infinite(t):
-        return s is t
-    return s == t
+@pytest.mark.parametrize("field", [F4, F7, GF(3, 2)], ids=repr)
+def test_projective_points_compare_with_eq(field):
+    points = [field.from_value(v) for v in range(field.q)] + [INF]
+    for s in points:
+        for t in points:
+            same = points_equal(s, t)
+            assert (s == t) is same and (s != t) is (not same)
+            assert (s in {t}) is same
+        assert {t for t in points if points_equal(s, t)} == {s}
 
 
 def test_normalization_canonical():
