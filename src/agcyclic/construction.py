@@ -82,7 +82,7 @@ def construct_ag_code(
         if G.coefficient(place) != 0:
             raise ValueError(f"supports of D and G overlap at {place}")
     if G.degree < 0:
-        return LinearCode.zero_code(field, len(D))
+        return LinearCode(field, np.zeros((0, len(D)), dtype=np.int64))
     members = list(basis) if basis is not None else rr_basis(G)
     rows = [[evaluate_at_place(f, place).val for place in D] for f in members]
     return LinearCode(field, rows)

@@ -22,8 +22,8 @@ def as_matrix(field: GF, rows) -> np.ndarray:
     arr = np.array(
         [[getattr(e, "val", e) for e in row] for row in rows], dtype=np.int64
     )
-    if arr.ndim == 1:
-        arr = arr.reshape(0, 0) if arr.size == 0 else arr.reshape(1, -1)
+    if arr.ndim == 1:  # no rows: a (0, n) array keeps its n columns
+        arr = arr.reshape(np.shape(rows) if np.ndim(rows) == 2 else (0, 0))
     if arr.size and ((arr < 0).any() or (arr >= field.q).any()):
         raise ValueError("matrix entry out of range for the field")
     return arr

@@ -2,8 +2,11 @@
 
 Codes are row spaces of integer-encoded generator matrices (numpy int64,
 values in [0, q)).  Rows may be dependent; every derived quantity uses the
-rank.  Exhaustive kernels (minimum distance, weight enumerator) enumerate
-all q^dim codewords in chunks and are guarded by an explicit budget.
+rank.  The exhaustive kernels (minimum distance, weight enumerator)
+enumerate the smaller of C and its dual in chunks, comparing words instead
+of adding them, and map a dual distribution back by the MacWilliams
+identity in exact integers.  Their budget bounds q^dim, the size of the
+code decided, whichever side is enumerated.
 """
 
 from __future__ import annotations
@@ -23,13 +26,20 @@ _CHUNK = 1 << 18
 
 
 class BudgetExceededError(RuntimeError):
-    """An exhaustive search was asked to exceed its enumeration budget."""
+    """An exhaustive search was asked to exceed its enumeration budget:
+    `needed` words (or candidates) against a `limit`."""
+
+    def __init__(self, message: str, *, limit: int, needed: int):
+        super().__init__(message)
+        self.limit = limit
+        self.needed = needed
 
 
 def _check_budget(total: int, budget: int) -> None:
     if total > budget:
         raise BudgetExceededError(
-            f"enumerating {total} codewords exceeds the budget {budget}"
+            f"enumerating {total} codewords exceeds the budget {budget}",
+            limit=budget, needed=total,
         )
 
 
@@ -46,6 +56,44 @@ def _span(field: GF, basis: np.ndarray) -> np.ndarray:
     return words
 
 
+def _enumerated_weights(field: GF, basis: np.ndarray) -> np.ndarray:
+    """Weight counts of the span of basis: the span of the leading rows as
+    one block of at most _CHUNK words, compared with each nonzero offset in
+    the span of the remaining rows.  block - offset is zero exactly where
+    block == offset, and the offsets, a subspace, run over their negatives
+    too, so the comparisons count the weights of every word."""
+    q, n = field.q, basis.shape[1]
+    lead = 0
+    while lead < basis.shape[0] and q ** (lead + 1) <= _CHUNK:
+        lead += 1
+    block = _span(field, basis[:lead])
+    counts = np.bincount(np.count_nonzero(block, axis=1), minlength=n + 1)
+    for offset in _span(field, basis[lead:])[1:]:
+        counts += np.bincount(np.count_nonzero(block != offset, axis=1), minlength=n + 1)
+    return counts
+
+
+def _macwilliams(q: int, dual_counts) -> list[int]:
+    """Weight counts A_j of C from the counts B_i of its dual, a q-ary code
+    of length n = len(dual_counts) - 1 and dimension m (MacWilliams-Sloane,
+    ch. 5): sum_j A_j y^j = q^-m sum_i B_i (1 + (q-1) y)^(n-i) (1 - y)^i,
+    accumulated Horner-style in O(n^2) integer operations."""
+    total: list[int] = []  # sum_{i <= t} B_i (1 + (q-1)y)^(t-i) (1-y)^i
+    power = [1]  # (1 - y)^t
+    for count in map(int, dual_counts):
+        total = [a + (q - 1) * b for a, b in zip(total + [0], [0] + total)]
+        total = [a + count * c for a, c in zip(total, power)]
+        power = [a - b for a, b in zip(power + [0], [0] + power)]
+    size = sum(map(int, dual_counts))  # q^m
+    out = []
+    for a in total:
+        quotient, remainder = divmod(a, size)
+        if remainder:
+            raise AssertionError("MacWilliams transform is not integral")
+        out.append(quotient)
+    return out
+
+
 class LinearCode:
     """A linear code presented by a generator matrix (rows spanning the code)."""
 
@@ -60,16 +108,6 @@ class LinearCode:
         self.n = gen.shape[1]
         self._rref: np.ndarray | None = None
         self._pivots: tuple[int, ...] | None = None
-
-    @classmethod
-    def zero_code(cls, field: GF, n: int) -> "LinearCode":
-        code = cls.__new__(cls)
-        code.field = field
-        code.generator = np.zeros((0, n), dtype=np.int64)
-        code.n = n
-        code._rref = None
-        code._pivots = None
-        return code
 
     # -- row space ---------------------------------------------------------------
 
@@ -99,22 +137,18 @@ class LinearCode:
     # -- parameters ----------------------------------------------------------------
 
     def weight_distribution(self, budget: int = DEFAULT_CODEWORD_BUDGET) -> np.ndarray:
-        """Exact weight counts W[0..n] by exhaustive enumeration: the span of
-        the leading rows as one block of at most _CHUNK words, shifted by each
-        nonzero combination of the remaining rows."""
+        """Exact weight counts W[0..n] within a budget on q^dim.  A code of
+        dimension k > n - k enumerates its dual's q^(n-k) words instead and
+        maps their counts back by the MacWilliams identity."""
         basis, _ = self._reduced()
         k = basis.shape[0]
-        q = self.field.q
-        _check_budget(q ** k, budget)
-        lead = 0
-        while lead < k and q ** (lead + 1) <= _CHUNK:
-            lead += 1
-        block = _span(self.field, basis[:lead])
-        counts = np.bincount(np.count_nonzero(block, axis=1), minlength=self.n + 1)
-        for offset in _span(self.field, basis[lead:])[1:]:
-            weights = np.count_nonzero(self.field.np_add(block, offset[None, :]), axis=1)
-            counts += np.bincount(weights, minlength=self.n + 1)
-        return counts
+        _check_budget(self.field.q ** k, budget)
+        if self.n - k >= k:
+            return _enumerated_weights(self.field, basis)
+        dual = linalg.left_kernel(self.field, basis.T)
+        return np.array(
+            _macwilliams(self.field.q, _enumerated_weights(self.field, dual)), dtype=np.int64
+        )
 
     def weight_enumerator(self, budget: int = DEFAULT_CODEWORD_BUDGET) -> "WeightEnumerator":
         return WeightEnumerator(self, self.weight_distribution(budget))
@@ -253,8 +287,11 @@ def _scaling_for_permutation(
     # decided before the budget check: no kernel, or a coordinate forced to zero
     if kernel.shape[0] == 0 or not kernel.any(axis=0).all():
         return None
-    if field.q ** kernel.shape[0] > 1 << 16:
-        raise BudgetExceededError("scaling search space too large")
+    needed = field.q ** kernel.shape[0]
+    if needed > 1 << 16:
+        raise BudgetExceededError(
+            "scaling search space too large", limit=1 << 16, needed=needed
+        )
     words = _span(field, kernel)
     hits = np.flatnonzero(words.all(axis=1))
     return words[hits[0]] if hits.size else None

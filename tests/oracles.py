@@ -162,7 +162,9 @@ def scaling_by_product_loop(field, permuted_rref, checks):
     if any(not kernel[:, j].any() for j in range(n)):
         return None
     if field.q ** dim > 1 << 16:
-        raise BudgetExceededError("scaling search space too large")
+        raise BudgetExceededError(
+            "scaling search space too large", limit=1 << 16, needed=field.q ** dim
+        )
     for combo in product(range(field.q), repeat=dim):
         if all(c == 0 for c in combo):
             continue
@@ -173,6 +175,23 @@ def scaling_by_product_loop(field, permuted_rref, checks):
         if vec.all():
             return vec
     return None
+
+
+def weights_by_brute_force(field, generator):
+    """Weight counts of the row space of generator: every coefficient vector
+    from itertools.product, each word built by scalar operations and kept in
+    a set, so that dependent rows count each word once."""
+    rows, n = generator.shape
+    words = set()
+    for coeffs in product(range(field.q), repeat=rows):
+        word = [0] * n
+        for c, row in zip(coeffs, generator.tolist()):
+            word = [field.add_i(w, field.mul_i(c, v)) for w, v in zip(word, row)]
+        words.add(tuple(word))
+    counts = [0] * (n + 1)
+    for word in words:
+        counts[sum(1 for w in word if w)] += 1
+    return counts
 
 
 def krawtchouk(q, n, j, i):

@@ -313,7 +313,7 @@ AXIOM_FIELDS = [GF(13), GF(65521), GF(2, 8), GF(3, 5), GF(7, 2), GF(2, 16)]
 
 
 @pytest.mark.parametrize("field", AXIOM_FIELDS, ids=repr)
-@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@settings(max_examples=150)
 @given(data=st.data())
 def test_field_axioms_property(field, data):
     a, b, c = (data.draw(st.integers(0, field.q - 1)) for _ in range(3))

@@ -9,7 +9,7 @@ from agcyclic import GF
 from agcyclic.linalg import in_row_space, left_kernel, rref, solve_coordinates
 
 FIELDS = [GF(2), GF(5), GF(2, 3), GF(3, 2)]
-PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=100)
+PROPERTY = settings(max_examples=100)
 
 
 def combine(field, coeffs, mat):

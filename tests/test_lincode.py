@@ -19,28 +19,15 @@ from agcyclic import (
     roots_of_unity_code,
     rr_basis,
 )
+from agcyclic import lincode
 from agcyclic.linalg import left_kernel
-from agcyclic.lincode import _scaling_for_permutation, _span
-from oracles import dual_weights_by_macwilliams, scaling_by_product_loop
+from agcyclic.lincode import _macwilliams, _scaling_for_permutation, _span
+from oracles import dual_weights_by_macwilliams, scaling_by_product_loop, weights_by_brute_force
 from test_linalg import FIELDS, PROPERTY, combine, draw_matrix
 
 F2 = GF(2)
 F5 = GF(5)
 F7 = GF(7)
-
-
-def brute_weights(code):
-    """Independent oracle: enumerate messages with itertools."""
-    field = code.field
-    basis = code.rref
-    counts = [0] * (code.n + 1)
-    for msg in product(range(field.q), repeat=basis.shape[0]):
-        word = [0] * code.n
-        for c, row in zip(msg, basis):
-            if c:
-                word = [field.add_i(w, field.mul_i(c, int(v))) for w, v in zip(word, row)]
-        counts[sum(1 for w in word if w)] += 1
-    return counts
 
 
 def test_dimension_and_equality():
@@ -57,7 +44,7 @@ def test_dimension_and_equality():
 
 def test_min_distance_brute_force_agreement():
     code, _ = roots_of_unity_code(F7, 6, 1, 1)
-    counts = brute_weights(code)
+    counts = weights_by_brute_force(F7, code.generator)
     assert code.weight_enumerator().counts == tuple(counts)
     assert code.min_distance() == next(i for i in range(1, 7) if counts[i])
     assert code.min_distance() == 4
@@ -68,13 +55,13 @@ def test_min_distance_trivial_codes():
     assert repetition.min_distance() == 6
     full = LinearCode(F5, np.eye(3, dtype=np.int64))
     assert full.min_distance() == 1
-    zero = LinearCode.zero_code(F5, 4)
+    zero = LinearCode(F5, np.zeros((0, 4), dtype=np.int64))
     with pytest.raises(ValueError):
         zero.min_distance()
 
 
 def test_weight_enumerator_properties():
-    zero = LinearCode.zero_code(F5, 4)
+    zero = LinearCode(F5, np.zeros((0, 4), dtype=np.int64))
     assert zero.weight_enumerator().counts == (1, 0, 0, 0, 0)
     repetition = LinearCode(F7, [[1, 1, 1]])
     we = repetition.weight_enumerator()
@@ -87,6 +74,20 @@ def test_budget_guard():
     code = LinearCode(F7, np.eye(5, dtype=np.int64))
     with pytest.raises(BudgetExceededError):
         code.min_distance(budget=100)
+    # the budget bounds q^k even where the dual (here 7^1 words) is enumerated,
+    # and the error carries the limit and the size needed
+    code = LinearCode(F7, np.eye(5, 6, dtype=np.int64))
+    with pytest.raises(BudgetExceededError) as caught:
+        code.weight_distribution(budget=100)
+    assert (caught.value.limit, caught.value.needed) == (100, 7 ** 5)
+    assert str(caught.value) == "enumerating 16807 codewords exceeds the budget 100"
+    # the scaling search: a kernel of dimension 6 over GF(16)
+    field = GF(2, 4)
+    repetition = np.kron(np.eye(6, dtype=np.int64), np.ones((1, 2), dtype=np.int64))
+    with pytest.raises(BudgetExceededError) as caught:
+        _scaling_for_permutation(field, repetition, left_kernel(field, repetition.T))
+    assert (caught.value.limit, caught.value.needed) == (1 << 16, 16 ** 6)
+    assert str(caught.value) == "scaling search space too large"
 
 
 def test_codewords_budget_guard():
@@ -136,7 +137,7 @@ def test_standard_form():
     perm3, _w3 = dependent.standard_form()
     assert perm3 == (1, 2, 0)
     with pytest.raises(ValueError):
-        LinearCode.zero_code(F5, 3).standard_form()
+        LinearCode(F5, np.zeros((0, 3), dtype=np.int64)).standard_form()
 
 
 def test_is_mds():
@@ -219,20 +220,101 @@ def test_span_lists_combinations_in_product_order(data, field):
     assert _span(field, basis).tolist() == expected
 
 
-def code_of(field, mat):
-    return LinearCode(field, mat) if mat.shape[0] else LinearCode.zero_code(field, mat.shape[1])
-
-
 @PROPERTY
 @given(data=st.data(), field=st.sampled_from(FIELDS))
 def test_macwilliams_identity_with_the_dual(data, field):
     mat, _ = draw_matrix(data, field, max_cols=5)
-    code = code_of(field, mat)
-    dual = code_of(field, left_kernel(field, code.rref.T))
+    code = LinearCode(field, mat)
+    dual = LinearCode(field, left_kernel(field, code.rref.T))
     assert dual.dimension() == code.n - code.dimension()
     assert dual.weight_distribution().tolist() == dual_weights_by_macwilliams(
         field.q, code.n, code.dimension(), code.weight_distribution()
     )
+
+
+ORACLE_FIELDS = [GF(2), GF(2, 2), GF(5), GF(7), GF(2, 3), GF(3, 2), GF(2, 4)]
+
+
+def random_generator(field, rng, n, k):
+    """k random rows and, half of the time, one more row that is a random
+    combination of them; shuffled."""
+    base = np.array([[rng.randrange(field.q) for _ in range(n)] for _ in range(k)],
+                    dtype=np.int64).reshape(k, n)
+    rows = base.tolist()
+    if rng.random() < 0.5:
+        rows.append(combine(field, [rng.randrange(field.q) for _ in range(k)], base))
+    rng.shuffle(rows)
+    return np.array(rows, dtype=np.int64).reshape(len(rows), n)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_weight_distribution_matches_brute_force(field, monkeypatch):
+    """Seeded random codes of every length 1..7 and every rate the oracle
+    can afford, the dual route (k > n - k) included.  Each is counted with
+    the default block size and with blocks of q words and of the zero word
+    alone, so that the offsets are exercised at this scale."""
+    rng = random.Random(f"weights:{field.q}")
+    seen = Counter()
+    for n in range(1, 8):
+        for k in range(n + 1):
+            if field.q ** (k + 1) > 5000:
+                continue
+            for _ in range(2):
+                gen = random_generator(field, rng, n, k)
+                code = LinearCode(field, gen)
+                dim = code.dimension()
+                expected = weights_by_brute_force(field, gen)
+                for chunk in (1 << 18, field.q, 1):
+                    monkeypatch.setattr(lincode, "_CHUNK", chunk)
+                    assert code.weight_distribution().tolist() == expected
+                seen["dual" if n - dim < dim else "equal" if n == 2 * dim else "direct"] += 1
+                seen["zero"] += dim == 0
+                seen["full"] += dim == n
+                seen["dependent"] += gen.shape[0] > dim
+    assert all(seen[key] for key in ("dual", "equal", "direct", "zero", "full", "dependent")), seen
+
+
+def test_high_rate_code_enumerates_its_dual(monkeypatch):
+    """A [8, 6] code over GF(9) enumerates the 9^2 words of its dual, not its
+    own 9^6; its [8, 2] dual enumerates itself."""
+    enumerated = []
+
+    def spy(field, basis):
+        words = _span(field, basis)
+        enumerated.append(words.shape[0])
+        return words
+
+    monkeypatch.setattr(lincode, "_span", spy)
+    field = GF(3, 2)
+    code, _ = roots_of_unity_code(field, 8, 3, 2)
+    dual = LinearCode(field, left_kernel(field, code.rref.T))
+    assert (code.dimension(), dual.dimension()) == (6, 2)
+    enumerated.clear()  # the construction's own report enumerated too
+    counts = code.weight_distribution().tolist()
+    assert np.prod(enumerated) == 9 ** 2
+    enumerated.clear()
+    dual_counts = dual.weight_distribution().tolist()
+    assert np.prod(enumerated) == 9 ** 2
+    assert counts == dual_weights_by_macwilliams(9, 8, 2, dual_counts)
+    # MDS: A_d = C(n, d) (q - 1) for d = n - k + 1
+    assert counts[:4] == [1, 0, 0, 56 * 8]
+
+
+@PROPERTY
+@given(data=st.data(), field=st.sampled_from(FIELDS))
+def test_macwilliams_transform_matches_krawtchouk_oracle(data, field):
+    mat, _ = draw_matrix(data, field, max_rows=3, max_cols=6)
+    counts = weights_by_brute_force(field, mat)
+    m = LinearCode(field, mat).dimension()
+    assert _macwilliams(field.q, counts) == dual_weights_by_macwilliams(
+        field.q, mat.shape[1], m, counts
+    )
+
+
+def test_macwilliams_transform_asserts_integrality():
+    # three binary words of weight 1 and the zero word are no code
+    with pytest.raises(AssertionError):
+        _macwilliams(2, [1, 3, 0, 0])
 
 
 def blocks(field, rng, n):

@@ -6,6 +6,8 @@ import weakref
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agcyclic import (
     GF,
@@ -117,6 +119,43 @@ def test_factor_reconstructs_and_sorts():
     for w, e in factors:
         prod = prod * w ** e
     assert prod == f.monic()
+
+
+FACTOR_FIELDS = [GF(2), GF(3), GF(2, 2), GF(3, 2)]
+
+
+def draw_polynomial(data, field, degree):
+    """A polynomial of the given degree with random coefficients and a
+    random nonzero leading one."""
+    coeffs = data.draw(st.lists(st.integers(0, field.q - 1), min_size=degree, max_size=degree))
+    return Polynomial.from_values(field, coeffs + [data.draw(st.integers(1, field.q - 1))])
+
+
+@settings(max_examples=120)
+@given(data=st.data(), field=st.sampled_from(FACTOR_FIELDS))
+def test_factor_round_trip_property(data, field):
+    """f of degree <= 8, either random or a product of random powers (so
+    that repeated factors and p-th powers are common): the factors are
+    irreducible, canonically sorted, and their product is monic f."""
+    if data.draw(st.booleans()):
+        f = draw_polynomial(data, field, data.draw(st.integers(1, 8)))
+    else:
+        f = Polynomial.one(field)
+        while f.degree < 8:
+            d = data.draw(st.integers(1, 8 - f.degree))
+            e = data.draw(st.integers(1, (8 - f.degree) // d))
+            f = f * draw_polynomial(data, field, d) ** e
+            if data.draw(st.booleans()):
+                break
+    factors = factor(f)
+    rebuilt = Polynomial.one(field)
+    for w, e in factors:
+        assert e >= 1 and w.is_monic()
+        assert is_irreducible_by_trial_division(w)
+        rebuilt = rebuilt * w ** e
+    assert rebuilt == f.monic()
+    keys = [(w.degree, w.coeffs) for w, _ in factors]
+    assert keys == sorted(set(keys))
 
 
 def test_factor_repeated_and_pth_power():
