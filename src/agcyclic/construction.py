@@ -49,6 +49,7 @@ from .rfield import (
     Place,
     RationalFunction,
     evaluate_at_place,
+    evaluate_rr_basis,
     invert_point,
     place_image,
     place_of_point,
@@ -61,14 +62,19 @@ from .rfield import (
 # evaluation codes
 # ---------------------------------------------------------------------------
 
+# the most entries a generator matrix may have: deg G + 1 rows of n values
+GENERATOR_ENTRY_BUDGET = 10 ** 7
+
+
 def construct_ag_code(
     D: Sequence[Place],
     G: Divisor,
     basis: Sequence[RationalFunction] | None = None,
 ) -> LinearCode:
     """Evaluation code: rows are a basis of L(G) evaluated at the places of D
-    in order.  D must consist of distinct rational places disjoint from the
-    support of G."""
+    in order, rr_basis(G) unless a basis is given.  D must consist of
+    distinct rational places disjoint from the support of G; a generator of
+    more than GENERATOR_ENTRY_BUDGET entries raises BudgetExceededError."""
     field = G.field
     if not D:
         raise ValueError("the evaluation divisor D must be nonempty")
@@ -81,11 +87,17 @@ def construct_ag_code(
         seen.add(place)
         if G.coefficient(place) != 0:
             raise ValueError(f"supports of D and G overlap at {place}")
+    needed = (len(basis) if basis is not None else G.degree + 1) * len(D)
+    if needed > GENERATOR_ENTRY_BUDGET:
+        raise BudgetExceededError(
+            f"a generator of {needed} entries exceeds the entry budget {GENERATOR_ENTRY_BUDGET}",
+            limit=GENERATOR_ENTRY_BUDGET, needed=needed,
+        )
     if G.degree < 0:
         return LinearCode(field, np.zeros((0, len(D)), dtype=np.int64))
-    members = list(basis) if basis is not None else rr_basis(G)
-    rows = [[evaluate_at_place(f, place).val for place in D] for f in members]
-    return LinearCode(field, rows)
+    if basis is None:
+        return LinearCode(field, evaluate_rr_basis(G, D))
+    return LinearCode(field, [[evaluate_at_place(f, place).val for place in D] for f in basis])
 
 
 class OrbitCodeSpec:
@@ -220,8 +232,10 @@ def verify_cyclic_construction(
     G: Divisor,
     codeword_budget: int = DEFAULT_CODEWORD_BUDGET,
 ) -> CyclicityReport:
-    """Evaluate every cyclicity flag independently; failures are carried in
-    the report, not raised."""
+    """Evaluate every cyclicity flag independently; failures of the flags are
+    carried in the report, not raised.  Raises BudgetExceededError as
+    construct_ag_code does, and AssertionError if the default generator is
+    not rr_basis(G) evaluated place by place."""
     field = G.field
     n = len(D)
     places_distinct = len(set(D)) == n and all(p.is_rational for p in D)
@@ -242,6 +256,8 @@ def verify_cyclic_construction(
     constructible = places_distinct and supports_disjoint
     if constructible:
         code = construct_ag_code(D, G)
+        if not np.array_equal(code.generator, construct_ag_code(D, G, rr_basis(G)).generator):
+            raise AssertionError("the Vandermonde rows differ from rr_basis(G) evaluated on D")
         dimension = code.dimension()
         code_cyclic = code.is_cyclic()
         induced = _induced_shift_solvable(code)

@@ -240,6 +240,29 @@ class GF:
             return 0
         return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
 
+    def axpy_i(self, y: list[int], a: int, x: list[int]) -> list[int]:
+        """The list y + a*x, for equal-length lists of values: the one row
+        operation of the elimination in linalg, one call per row."""
+        if a == 0:
+            return list(y)
+        if self.m == 1:
+            p = self.p
+            return [(u + a * v) % p for u, v in zip(y, x)]
+        exp, log, n = self._exp, self._log, self.q - 1
+        la = log[a]
+        if self.p == 2:
+            return [u ^ exp[(la + log[v]) % n] if v else u for u, v in zip(y, x)]
+        zech = self._zech
+        out = []
+        for u, v in zip(y, x):
+            if u and v:  # u + a*v = u (1 + a*v/u)
+                lu = log[u]
+                z = zech[(la + log[v] - lu) % n]
+                out.append(0 if z < 0 else exp[(lu + z) % n])
+            else:
+                out.append(exp[(la + log[v]) % n] if v else u)
+        return out
+
     def inv_i(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero field element")

@@ -1,14 +1,16 @@
 """Row reduction and kernels for integer-encoded matrices over a GF field.
 
 Matrices cross the API as 2-D numpy int64 arrays holding element values in
-[0, q); the row operations themselves run on plain Python ints.  At the
-shapes the library meets (a few to a few dozen rows, n up to 26 in the
-benchmark sweep) that is faster than numpy: with `_rref_rows` ported to
-whole-row `np_mul`/`np_add` updates, the first cycle of the benchmark's
-`equiv` workload (seed 5) took 6.6-7.3 s instead of 3.4-4.3 s (3 runs each,
-2-vCPU Xeon VM, Python 3.11, numpy 2.4).  `_rref_rows` is the one
-elimination: kernels and coordinates are read off its output, and
-`in_row_space` reduces one vector against a basis it produced.
+[0, q); inside, rows are lists of Python ints and the one row operation is
+`GF.axpy_i` (row + a * pivot row, one call per row, not one per entry).
+`_rref_rows` is the one elimination: kernels and coordinates are read off
+its output, and `in_row_space` reduces one vector against a basis it
+produced.  An 8 x 26 rref takes 200-450 us with the row kernel against
+570-1390 us with scalar `sub_i`/`mul_i` per entry (GF(7), GF(9), GF(16),
+GF(27); 2-vCPU Xeon VM, Python 3.11, numpy 2.4).  At these shapes numpy
+loses: `_rref_rows` ported to whole-row `np_mul`/`np_add` updates made the
+first cycle of the benchmark's `equiv` workload (seed 5) take 6.6-7.3 s
+instead of 3.4-4.3 s with scalar entries (3 runs each).
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from .gf import GF
 
 
 def as_matrix(field: GF, rows) -> np.ndarray:
-    arr = np.array(
-        [[getattr(e, "val", e) for e in row] for row in rows], dtype=np.int64
-    )
+    vals = [[getattr(e, "val", e) for e in row] for row in rows]
+    if len({len(row) for row in vals}) > 1:
+        raise ValueError("generator rows have unequal lengths")
+    arr = np.array(vals, dtype=np.int64)
     if arr.ndim == 1:  # no rows: a (0, n) array keeps its n columns
         arr = arr.reshape(np.shape(rows) if np.ndim(rows) == 2 else (0, 0))
     if arr.size and ((arr < 0).any() or (arr >= field.q).any()):
@@ -30,7 +33,7 @@ def as_matrix(field: GF, rows) -> np.ndarray:
 
 
 def _rref_rows(field: GF, rows: list[list[int]], ncols: int):
-    mul, sub, inv = field.mul_i, field.sub_i, field.inv_i
+    mul, neg, inv, axpy = field.mul_i, field.neg_i, field.inv_i, field.axpy_i
     pivots = []
     r = 0
     nrows = len(rows)
@@ -54,8 +57,7 @@ def _rref_rows(field: GF, rows: list[list[int]], ncols: int):
             if i != r:
                 f = rows[i][c]
                 if f:
-                    ri = rows[i]
-                    rows[i] = [sub(ri[j], mul(f, prow[j])) for j in range(ncols)]
+                    rows[i] = axpy(rows[i], neg(f), prow)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -66,8 +68,7 @@ def _rref_rows(field: GF, rows: list[list[int]], ncols: int):
 def rref(field: GF, mat: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     """Reduced row echelon form with zero rows dropped, and the pivot columns."""
     ncols = mat.shape[1]
-    rows = [list(map(int, row)) for row in mat]
-    reduced, pivots = _rref_rows(field, rows, ncols)
+    reduced, pivots = _rref_rows(field, mat.tolist(), ncols)
     if not reduced:
         return np.zeros((0, ncols), dtype=np.int64), pivots
     return np.array(reduced, dtype=np.int64), pivots
@@ -75,13 +76,11 @@ def rref(field: GF, mat: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
 
 def in_row_space(field: GF, basis: np.ndarray, pivots: tuple[int, ...], vec) -> bool:
     """Whether vec reduces to zero against an rref basis with these pivots."""
-    mul, sub = field.mul_i, field.sub_i
     v = [int(x) for x in vec]
-    n = len(v)
     for row, c in zip(basis.tolist(), pivots):
         f = v[c]
         if f:
-            v = [sub(v[j], mul(f, row[j])) for j in range(n)]
+            v = field.axpy_i(v, field.neg_i(f), row)
     return not any(v)
 
 
@@ -100,8 +99,8 @@ def left_kernel(field: GF, mat: np.ndarray) -> np.ndarray:
     """Basis of {v : v . mat = 0}, as the rows of a matrix in reduced row
     echelon form."""
     nrows, ncols = mat.shape
-    rows = [list(map(int, row)) + [1 if j == i else 0 for j in range(nrows)]
-            for i, row in enumerate(mat)]
+    rows = [row + [1 if j == i else 0 for j in range(nrows)]
+            for i, row in enumerate(mat.tolist())]
     reduced, _ = _rref_rows(field, rows, ncols + nrows)
     out = [row[ncols:] for row in reduced if not any(row[:ncols])]
     if not out:

@@ -123,11 +123,6 @@ class LinearCode:
     def dimension(self) -> int:
         return self._reduced()[0].shape[0]
 
-    def contains(self, word) -> bool:
-        basis, pivots = self._reduced()
-        vec = np.array([getattr(e, "val", e) for e in word], dtype=np.int64)
-        return linalg.in_row_space(self.field, basis, pivots, vec)
-
     def codewords(self) -> np.ndarray:
         """All q^dim codewords, within the default codeword budget."""
         basis, _ = self._reduced()
@@ -167,13 +162,13 @@ class LinearCode:
 
     def is_cyclic(self) -> bool:
         """Closure of the row space under the coordinate rotation
-        s(c_1, ..., c_n) = (c_2, ..., c_n, c_1)."""
+        s(c_1, ..., c_n) = (c_2, ..., c_n, c_1), tested on the k rows of the
+        reduced basis: s is linear, so they decide it for the whole code."""
         basis, pivots = self._reduced()
-        for row in self.generator:
-            shifted = np.roll(row, -1)
-            if not linalg.in_row_space(self.field, basis, pivots, shifted):
-                return False
-        return True
+        return all(
+            linalg.in_row_space(self.field, basis, pivots, row[1:] + row[:1])
+            for row in basis.tolist()
+        )
 
     # -- standard form ------------------------------------------------------------
 

@@ -6,6 +6,8 @@ componentwise.  The attached field automorphism sends x to (ax+b)/(cx+d)
 and moves points of the projective line by the INVERSE fractional action:
 the place at a point t moves to the place at A^{-1}.t.  Orbits are walked
 with A^{-1}, so iterating the image map n times returns to the start.
+Orders, orbits and fixed points run on int values, q standing for infinity;
+points become FieldElement or INF only in the results.
 """
 
 from __future__ import annotations
@@ -34,10 +36,6 @@ class MobiusMap:
                 break
         self.field = field
         self.a, self.b, self.c, self.d = a, b, c, d
-
-    @classmethod
-    def from_entries(cls, field: GF, a, b, c, d) -> "MobiusMap":
-        return cls(field.element(a), field.element(b), field.element(c), field.element(d))
 
     @classmethod
     def from_string(cls, field: GF, s: str) -> "MobiusMap":
@@ -108,67 +106,66 @@ class MobiusMap:
         )
 
     def order(self) -> int:
-        """Order in PGL2(F_q), by iterated multiplication."""
-        if self.is_identity():
-            return 1
-        acc = self
+        """Order in PGL2(F_q), by iterated multiplication of int entries: an
+        unnormalized power is the identity when b = c = 0 and a = d."""
+        f = self.field
+        mul, add = f.mul_i, f.add_i
+        pa, pb, pc, pd = a, b, c, d = self.a.val, self.b.val, self.c.val, self.d.val
         n = 1
-        bound = 2 * (self.field.q + 1)
-        while not acc.is_identity():
-            acc = acc * self
+        while pb or pc or pa != pd:
+            pa, pb, pc, pd = (add(mul(pa, a), mul(pb, c)), add(mul(pa, b), mul(pb, d)),
+                              add(mul(pc, a), mul(pd, c)), add(mul(pc, b), mul(pd, d)))
             n += 1
-            if n > bound:
+            if n > 2 * (f.q + 1):
                 raise AssertionError("order loop failed to terminate")
         return n
 
-    def is_triangular(self) -> bool:
-        return self.c.is_zero()
-
     # -- action on the projective line ------------------------------------------
+
+    def _value(self, t: ProjPoint) -> int:
+        if t is not INF and t.field != self.field:
+            raise ValueError("point from a different field")
+        return self.field.q if t is INF else t.val
+
+    def _point(self, v: int) -> ProjPoint:
+        return INF if v == self.field.q else FieldElement(self.field, v)
+
+    def _inverse_i(self, t: int) -> int:
+        """A^{-1}.t on values, q standing for infinity."""
+        f = self.field
+        a, b, c, d = self.a.val, self.b.val, self.c.val, self.d.val
+        if t == f.q:
+            return f.q if c == 0 else f.div_i(f.neg_i(d), c)
+        denom = f.sub_i(a, f.mul_i(c, t))
+        return f.q if denom == 0 else f.div_i(f.sub_i(f.mul_i(d, t), b), denom)
 
     def apply_inverse(self, t: ProjPoint) -> ProjPoint:
         """A^{-1}.t: (dt - b)/(-ct + a) for finite t unless a = ct, with
         A^{-1}.inf = -d/c when c != 0; fixed-point-free cases map to inf."""
-        a, b, c, d = self.a, self.b, self.c, self.d
-        if is_infinite(t):
-            if c.is_zero():
-                return INF
-            return -d / c
-        denom = a - c * t
-        if denom.is_zero():
-            return INF
-        return (d * t - b) / denom
+        return self._point(self._inverse_i(self._value(t)))
 
     def fixed_points(self) -> set[ProjPoint]:
         """All t in the projective line with A^{-1}.t = t."""
-        out = set()
-        for v in range(self.field.q):
-            t = self.field.from_value(v)
-            img = self.apply_inverse(t)
-            if not is_infinite(img) and img == t:
-                out.add(t)
-        if is_infinite(self.apply_inverse(INF)):
-            out.add(INF)
-        return out
+        act = self._inverse_i
+        return {self._point(v) for v in range(self.field.q + 1) if act(v) == v}
 
     def orbit(self, alpha: ProjPoint) -> tuple[ProjPoint, ...]:
         """(alpha, A^{-1}.alpha, A^{-2}.alpha, ...), stopping before the
         first repetition; errors when alpha is a fixed point."""
         if self.is_identity():
             raise ValueError("orbits of the identity are trivial")
-        first = self.apply_inverse(alpha)
-        if first == alpha:
+        act = self._inverse_i
+        start = self._value(alpha)
+        cur = act(start)
+        if cur == start:
             raise ValueError(f"{alpha} is a fixed point; its orbit is trivial")
-        out = [alpha, first]
-        cur = first
-        while True:
-            cur = self.apply_inverse(cur)
-            if cur == alpha:
-                break
+        out = [start]
+        while cur != start:
             out.append(cur)
             if len(out) > self.field.q + 1:
                 raise AssertionError("orbit exceeded the projective line")
-        return tuple(out)
+            cur = act(cur)
+        return tuple(map(self._point, out))
 
     def isotropy_order(self, alpha: ProjPoint) -> int:
         """Order of the stabilizer of alpha inside the cyclic group generated

@@ -9,6 +9,7 @@ combinations of places.  Everything here is immutable and exact.
 
 from __future__ import annotations
 
+from itertools import accumulate, repeat
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -463,13 +464,6 @@ class RationalFunction:
         self.den = den
 
     @classmethod
-    def _from_coeffs(cls, field: GF, num: Sequence[int], den: Sequence[int]) -> "RationalFunction":
-        """Constructor trusting the caller: num/den is reduced, den monic."""
-        f = cls.__new__(cls)
-        f.num, f.den = Polynomial.from_values(field, num), Polynomial.from_values(field, den)
-        return f
-
-    @classmethod
     def from_polynomial(cls, p: Polynomial) -> "RationalFunction":
         return cls(p, Polynomial.one(p.field))
 
@@ -830,10 +824,6 @@ def in_riemann_roch_space(f: RationalFunction, G: Divisor) -> bool:
     return pole_degree == f.den.degree
 
 
-# L(G) bases as coefficient tuples, so that no entry keeps a field's tables alive
-_rr_basis_cache: dict[tuple, tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]] = {}
-
-
 def rr_basis(G: Divisor) -> list[RationalFunction]:
     """Ordered basis of the Riemann-Roch space L(G) of the rational function
     field (genus 0): deg G + 1 functions h * x^t / N for t = 0..deg G, where
@@ -843,9 +833,6 @@ def rr_basis(G: Divisor) -> list[RationalFunction]:
     Empty for deg G < 0.
     """
     field = G.field
-    key = (field.p, field.m, field.modulus, tuple((P.sort_key(), c) for P, c in G.items()))
-    if key in _rr_basis_cache:
-        return [RationalFunction._from_coeffs(field, *f) for f in _rr_basis_cache[key]]
     d = G.degree
     if d < 0:
         return []
@@ -866,9 +853,32 @@ def rr_basis(G: Divisor) -> list[RationalFunction]:
             raise AssertionError(f"constructed basis member {f} escapes L(G)")
         basis.append(f)
         xpow = xpow * Polynomial.x(field)
-    if len(_rr_basis_cache) < 4096:
-        _rr_basis_cache[key] = tuple((f.num.coeffs, f.den.coeffs) for f in basis)
     return basis
+
+
+def evaluate_rr_basis(G: Divisor, D: Sequence[Place]) -> list[list[int]]:
+    """The values of rr_basis(G) = (h x^t / N) at rational places D off the
+    support of G, as int rows, without building the functions.  At a finite
+    P, row t is (h/N)(P) * P^t, with (h/N)(P) the product of w(P)^(-c) over
+    the finite places (w, c) of G.  At infinity G(inf) = 0, so deg h + deg G
+    = deg N: only row deg G is nonzero there, and it is lead(h)/lead(N)."""
+    field = G.field
+    d = G.degree
+    if d < 0:
+        return []
+    mul, pow_ = field.mul_i, field.pow_i
+    finite = [(place.poly, c) for place, c in G.items() if not place.is_infinite]
+    columns = []
+    for place in D:
+        value = 1
+        for w, c in finite:
+            at = w.coeffs[-1] if place.is_infinite else w.eval_i(place.point.val)
+            value = mul(value, pow_(at, -c))
+        if place.is_infinite:
+            columns.append([0] * d + [value])
+        else:
+            columns.append(list(accumulate(repeat(place.point.val, d), mul, initial=value)))
+    return [list(row) for row in zip(*columns)]
 
 
 def pole_power_basis(beta: FieldElement, r: int) -> list[RationalFunction]:

@@ -212,3 +212,53 @@ def dual_weights_by_macwilliams(q, n, k, counts):
             raise AssertionError("MacWilliams transform is not integral")
         out.append(total // q ** k)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Mobius maps through FieldElement arithmetic
+# ---------------------------------------------------------------------------
+
+def apply_inverse_by_elements(matrix, t):
+    """A^{-1}.t by FieldElement arithmetic: (dt - b)/(a - ct), with
+    A^{-1}.inf = -d/c (inf when c = 0) and a = ct sent to inf."""
+    a, b, c, d = matrix.a, matrix.b, matrix.c, matrix.d
+    if t is INF:
+        return INF if c.is_zero() else -d / c
+    denom = a - c * t
+    if denom.is_zero():
+        return INF
+    return (d * t - b) / denom
+
+
+def fixed_points_by_elements(matrix):
+    field = matrix.field
+    out = set()
+    for t in list(field.elements()) + [INF]:
+        if points_equal(apply_inverse_by_elements(matrix, t), t):
+            out.add(t)
+    return out
+
+
+def orbit_by_elements(matrix, alpha):
+    """(alpha, A^{-1}.alpha, ...) up to the first repetition, by FieldElement
+    arithmetic."""
+    out = [alpha]
+    cur = apply_inverse_by_elements(matrix, alpha)
+    while not points_equal(cur, alpha):
+        out.append(cur)
+        if len(out) > matrix.field.q + 1:
+            raise AssertionError("orbit exceeded the projective line")
+        cur = apply_inverse_by_elements(matrix, cur)
+    return tuple(out)
+
+
+def order_by_normalized_products(matrix):
+    """Order of a MobiusMap: multiply normalized MobiusMap objects until the
+    product is the identity."""
+    acc, n = matrix, 1
+    while not acc.is_identity():
+        acc = acc * matrix
+        n += 1
+        if n > 2 * (matrix.field.q + 1):
+            raise AssertionError("order loop failed to terminate")
+    return n

@@ -1,6 +1,7 @@
 """CLI: subcommand output, exit codes, deterministic JSON."""
 
 import json
+import time
 
 import pytest
 
@@ -66,6 +67,25 @@ def test_equiv_exit_codes(capsys):
         "--gen2", "1,0,0,0,0,0,0,0,0;0,1,0,0,0,0,0,0,0",
     ]
     assert run(capsys, *undecided)[0] == 3
+
+
+def test_ragged_generator_is_a_usage_error(capsys):
+    code = main(["equiv", "--q", "7", "--gen1", "1,2;3", "--gen2", "1,2"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: generator rows have unequal lengths\n"
+
+
+def test_construct_over_the_entry_budget_is_undecided(capsys):
+    """(deg G + 1) * n = (10^8 + 1) * 7 entries: refused before any row is
+    built, where evaluating L(G) would not finish."""
+    start = time.perf_counter()
+    code = main(["construct", "--q", "7", "--matrix", "1,1;0,1", "--alpha", "0",
+                 "--G", "100000000*inf"])
+    assert code == 3 and time.perf_counter() - start < 2
+    assert capsys.readouterr().err == (
+        "budget exhausted: a generator of 700000007 entries exceeds the entry budget "
+        "10000000\n"
+    )
 
 
 def test_construct_with_divisor_string(capsys):

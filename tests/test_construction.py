@@ -1,6 +1,8 @@
 """Orbit codes: construction, verification, classical cases, transports,
 closed standard forms, canonicalization."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from agcyclic import (
     OrbitCodeSpec,
     Place,
     Polynomial,
+    RationalFunction,
     artin_schreier_code,
     canonicalize,
     closed_standard_form,
@@ -25,7 +28,9 @@ from agcyclic import (
     transport_zero_to_infinity,
     verify_cyclic_construction,
 )
-from agcyclic import linalg
+from agcyclic import BudgetExceededError, construction, evaluate_at_place, linalg, rr_basis
+from agcyclic.construction import GENERATOR_ENTRY_BUDGET
+from agcyclic.rfield import evaluate_rr_basis
 
 F4 = GF(2, 2)
 F5 = GF(5)
@@ -65,6 +70,89 @@ def test_construct_ag_code_errors():
     quad = Place.from_polynomial(Polynomial(F5, [2, 0, 1]))
     with pytest.raises(ValueError):
         construct_ag_code([quad], Divisor.of_place(Place.infinity(F5), 1))
+
+
+def random_divisor_and_places(field, rng, target):
+    """Distinct rational places D and a divisor G off D with mixed-sign
+    coefficients, sometimes a degree-2 place, and degree in the target
+    class: 'negative', 'zero', 'small' (1..n-1) or 'large' (>= n)."""
+    points = [field.from_value(v) for v in range(field.q)] + [INF]
+    rng.shuffle(points)
+    n = rng.randint(1, min(8, len(points) - 1))
+    D = [place_of_point(field, t) for t in points[:n]]
+    spare = [place_of_point(field, t) for t in points[n:]]
+    support = rng.sample(spare, rng.randint(1, min(3, len(spare))))
+    coeffs = {P: rng.choice([-3, -2, -1, 1, 2, 3]) for P in support}
+    if rng.random() < 0.5:
+        quadratic = next(
+            Polynomial.from_values(field, [c0, c1, 1])
+            for c0 in rng.sample(range(1, field.q), field.q - 1)
+            for c1 in range(field.q)
+            if Polynomial.from_values(field, [c0, c1, 1]).is_irreducible()
+        )
+        coeffs[Place.from_polynomial(quadratic)] = rng.choice([-2, -1, 1, 2])
+    degree = {"negative": rng.randint(-3, -1), "zero": 0,
+              "small": rng.randint(1, max(n - 1, 1)), "large": rng.randint(n, n + 3)}[target]
+    current = sum(c * P.degree for P, c in coeffs.items())
+    coeffs[support[0]] += degree - current  # support[0] is rational
+    return D, Divisor(field, coeffs)
+
+
+@pytest.mark.parametrize("field", [F5, GF(2, 3), F9, GF(13), GF(3, 3)], ids=repr)
+def test_vandermonde_rows_equal_evaluated_rr_basis(field):
+    """The default generator is, entry for entry, rr_basis(G) evaluated
+    place by place."""
+    rng = random.Random(f"vandermonde:{field.q}")
+    seen = set()
+    for i in range(60):
+        target = ["negative", "zero", "small", "large"][i % 4]
+        D, G = random_divisor_and_places(field, rng, target)
+        expected = [[evaluate_at_place(f, P).val for P in D] for f in rr_basis(G)]
+        assert evaluate_rr_basis(G, D) == expected
+        code = construct_ag_code(D, G)
+        assert code.generator.shape == (len(expected), len(D))
+        assert code.generator.tolist() == expected
+        kinds = {c > 0 for c in dict(G.items()).values()}
+        seen.add(target)
+        seen.update(
+            name for name, hit in [
+                ("mixed signs", kinds == {True, False}),
+                ("degree-2 place in G", any(P.degree == 2 for P in G.support())),
+                ("inf in D", any(P.is_infinite for P in D)),
+                ("inf in G", any(P.is_infinite for P in G.support())),
+                ("deg G >= n", G.degree >= len(D)),
+            ] if hit
+        )
+    assert seen == {"negative", "zero", "small", "large", "mixed signs", "degree-2 place in G",
+                    "inf in D", "inf in G", "deg G >= n"}
+
+
+def test_verify_checks_the_default_rows_against_rr_basis(monkeypatch):
+    """The report is refused when the default generator is not rr_basis(G)
+    evaluated entry for entry, even when it spans the same code."""
+    matrix = MobiusMap.from_string(F7, "1,1;0,1")
+    D = [place_of_point(F7, t) for t in matrix.orbit(F7.zero)]
+    G = Divisor.of_place(Place.infinity(F7), 2)
+    assert verify_cyclic_construction(matrix, D, G).dimension == 3
+    monkeypatch.setattr(construction, "evaluate_rr_basis",
+                        lambda G, D: evaluate_rr_basis(G, D)[::-1])
+    with pytest.raises(AssertionError, match="Vandermonde rows differ"):
+        verify_cyclic_construction(matrix, D, G)
+
+
+@pytest.mark.parametrize("degree", [10 ** 8, GENERATOR_ENTRY_BUDGET // 7])  # 7 * 1428572 > 10^7
+def test_construct_refuses_a_generator_over_the_budget(degree):
+    matrix = MobiusMap.from_string(F7, "1,1;0,1")
+    D = [place_of_point(F7, t) for t in matrix.orbit(F7.zero)]
+    G = Divisor.of_place(Place.infinity(F7), degree)
+    with pytest.raises(BudgetExceededError) as info:
+        construct_ag_code(D, G)
+    assert (info.value.limit, info.value.needed) == (GENERATOR_ENTRY_BUDGET, (degree + 1) * 7)
+    with pytest.raises(BudgetExceededError):
+        verify_cyclic_construction(matrix, D, G)
+    # an explicit basis sets the row count, whatever deg G is
+    basis = [RationalFunction.from_polynomial(Polynomial.x(F7) ** t) for t in range(3)]
+    assert construct_ag_code(D, G, basis).generator.shape == (3, 7)
 
 
 def test_spec_validation_errors():
@@ -115,21 +203,29 @@ def test_report_flags_are_independent():
 
 def test_induced_shift_solved_against_the_reduced_basis(monkeypatch):
     """L(20*inf) gives 21 generator rows spanning a code of dimension 4; each
-    shift is solved against the 4 rows of its reduced basis."""
+    shift is solved against the 4 rows of its reduced basis, and is_cyclic
+    reduces the shifts of those 4 rows alone."""
     matrix = MobiusMap.from_string(F5, "1,0;0,2")
     D = [place_of_point(F5, F5.element(v)) for v in (1, 2, 4, 3)]
     G = Divisor.of_place(Place.infinity(F5), 20)
     rows = []
-    solve = linalg.solve_coordinates
+    shifted = []
+    solve, reduce = linalg.solve_coordinates, linalg.in_row_space
 
     def spy(field, mat, vec):
         rows.append(mat.shape[0])
         return solve(field, mat, vec)
 
+    def reduce_spy(field, basis, pivots, vec):
+        shifted.append(list(vec))
+        return reduce(field, basis, pivots, vec)
+
     monkeypatch.setattr(linalg, "solve_coordinates", spy)
+    monkeypatch.setattr(linalg, "in_row_space", reduce_spy)
     report = verify_cyclic_construction(matrix, D, G)
     assert report.induced_shift_solvable and report.dimension == 4
     assert rows and max(rows) <= report.dimension
+    assert report.code_cyclic and 0 < len(shifted) <= report.dimension
 
 
 def test_pole_basis_spans_same_code():

@@ -306,6 +306,42 @@ def test_np_add_and_np_mul_match_scalar(p, m):
 
 
 # ---------------------------------------------------------------------------
+# the row kernel axpy_i against scalar add_i and mul_i
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (7, 1), (2, 3), (3, 2), (5, 2), (3, 3)],
+                         ids=lambda v: str(v))
+def test_axpy_matches_scalar_ops_exhaustive(p, m):
+    field = GF(p, m)
+    y = [u for u in range(field.q) for _ in range(field.q)]
+    x = [v for _ in range(field.q) for v in range(field.q)]
+    for a in range(field.q):
+        expected = [field.add_i(u, field.mul_i(a, v)) for u, v in zip(y, x)]
+        assert field.axpy_i(y, a, x) == expected
+
+
+@pytest.mark.parametrize("field", [GF(2, 16), GF(3, 10), GF(65521)], ids=repr)
+@settings(max_examples=150)
+@given(data=st.data())
+def test_axpy_property_with_zero_and_cancelling_entries(field, data):
+    n = data.draw(st.integers(1, 12))
+    entries = st.lists(st.integers(0, field.q - 1), min_size=n, max_size=n)
+    a, y, x = data.draw(st.integers(0, field.q - 1)), data.draw(entries), data.draw(entries)
+    kinds = data.draw(st.lists(st.sampled_from("fcxy"), min_size=n, max_size=n))
+    for i, kind in enumerate(kinds):
+        if kind == "c":  # y + a*x = 0
+            y[i] = field.neg_i(field.mul_i(a, x[i]))
+        elif kind == "x":
+            x[i] = 0
+        elif kind == "y":
+            y[i] = 0
+    before = list(y)
+    expected = [field.add_i(u, field.mul_i(a, v)) for u, v in zip(y, x)]
+    assert field.axpy_i(y, a, x) == expected
+    assert y == before
+
+
+# ---------------------------------------------------------------------------
 # field axioms as properties, one field per shape class
 # ---------------------------------------------------------------------------
 

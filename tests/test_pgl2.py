@@ -4,7 +4,13 @@ import pytest
 
 from agcyclic import GF, INF, MobiusMap, order_triangular, orbit_difference
 from agcyclic.pgl2 import all_pgl2, geometric_sum, triangular_params
-from oracles import points_equal
+from oracles import (
+    apply_inverse_by_elements,
+    fixed_points_by_elements,
+    orbit_by_elements,
+    order_by_normalized_products,
+    points_equal,
+)
 
 F4 = GF(2, 2)
 F5 = GF(5)
@@ -76,6 +82,26 @@ def test_order_triangular_matches_order_exhaustively():
         order_triangular(MobiusMap.identity(F5))
     with pytest.raises(ValueError):
         order_triangular(MobiusMap.from_string(F5, "1,0;1,1"))  # not triangular
+
+
+@pytest.mark.parametrize("field", [F4, F5, F7, GF(3, 2)], ids=repr)
+def test_int_walks_match_element_oracles_on_all_of_pgl2(field):
+    points = list(field.elements()) + [INF]
+    group = list(all_pgl2(field))
+    assert len(group) == field.q * (field.q ** 2 - 1)
+    for matrix in group:
+        assert matrix.order() == order_by_normalized_products(matrix)
+        fixed = matrix.fixed_points()
+        assert fixed == fixed_points_by_elements(matrix)
+        for t in points:
+            assert points_equal(matrix.apply_inverse(t), apply_inverse_by_elements(matrix, t))
+            if matrix.is_identity() or t in fixed:
+                with pytest.raises(ValueError):
+                    matrix.orbit(t)
+                continue
+            orbit, expected = matrix.orbit(t), orbit_by_elements(matrix, t)
+            assert len(orbit) == len(expected)
+            assert all(points_equal(s, u) for s, u in zip(orbit, expected))
 
 
 def test_fixed_points():
