@@ -327,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget-perms",
         type=int,
         default=DEFAULT_PERMUTATION_BUDGET,
-        help="max column permutations for equivalence search",
+        help="max n! for the equivalence search; it bounds the unpruned search "
+        "size, so no verdict depends on pruning",
     )
     fieldopts = argparse.ArgumentParser(add_help=False)
     fieldopts.add_argument("--q", required=True, help="field spec, e.g. 7 or 2^2")

@@ -6,6 +6,7 @@ single invariant function z of degree m.  The candidates tried are the
 trace, the norm, and the second power sum of the images of x; translations
 kill the trace in odd characteristic and the inversion kills the norm, so
 the chain is ordered and failure is reported loudly rather than patched.
+Each candidate is built only when the ones before it fall short of degree m.
 
 Fibers of z realize the splitting data: over a value t, each irreducible
 factor of the fiber polynomial contributes a place whose degree is the
@@ -15,7 +16,9 @@ degrees weighted by multiplicities always sum to m.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 from .pgl2 import MobiusMap, ProjPoint, is_infinite
 from .rfield import (
@@ -51,19 +54,13 @@ def invariant_generator(matrix: MobiusMap) -> InvariantGenerator:
             )
         )
         power = power * matrix
-    trace = images[0]
-    for f in images[1:]:
-        trace = trace + f
-    candidates = [("trace", trace)]
-    norm = images[0]
-    for f in images[1:]:
-        norm = norm * f
-    candidates.append(("norm", norm))
-    psum2 = images[0] * images[0]
-    for f in images[1:]:
-        psum2 = psum2 + f * f
-    candidates.append(("power-sum-2", psum2))
-    for method, z in candidates:
+    candidates = (
+        ("trace", lambda: reduce(operator.add, images)),
+        ("norm", lambda: reduce(operator.mul, images)),
+        ("power-sum-2", lambda: reduce(operator.add, (f * f for f in images))),
+    )
+    for method, build in candidates:
+        z = build()
         if z.degree == m:
             if not z.num.is_monic():  # constant multiples stay invariant
                 z = RationalFunction(z.num.monic(), z.den)

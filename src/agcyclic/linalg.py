@@ -7,10 +7,7 @@ Matrices cross the API as 2-D numpy int64 arrays holding element values in
 its output, and `in_row_space` reduces one vector against a basis it
 produced.  An 8 x 26 rref takes 200-450 us with the row kernel against
 570-1390 us with scalar `sub_i`/`mul_i` per entry (GF(7), GF(9), GF(16),
-GF(27); 2-vCPU Xeon VM, Python 3.11, numpy 2.4).  At these shapes numpy
-loses: `_rref_rows` ported to whole-row `np_mul`/`np_add` updates made the
-first cycle of the benchmark's `equiv` workload (seed 5) take 6.6-7.3 s
-instead of 3.4-4.3 s with scalar entries (3 runs each).
+GF(27); 2-vCPU Xeon VM, Python 3.11, numpy 2.4).
 """
 
 from __future__ import annotations

@@ -7,13 +7,19 @@ enumerate the smaller of C and its dual in chunks, comparing words instead
 of adding them, and map a dual distribution back by the MacWilliams
 identity in exact integers.  Their budget bounds q^dim, the size of the
 code decided, whichever side is enumerated.
+
+Monomial equivalence walks the column permutations depth first in
+lexicographic order and prunes a branch only where the scaling system of
+every permutation below it forces a coordinate to zero (Leon's partition
+backtrack, IEEE Trans. IT 28(3), 1982, as an exact prune with no invariant
+heuristics); survivors are solved and verified as in the full n! walk, so
+the first hit is the walk's witness.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -263,6 +269,9 @@ class MonomialVerdict:
     status: str  # EQUIVALENT | INEQUIVALENT | UNDECIDED
     witness: np.ndarray | None = None
     reason: str = ""
+    # on UNDECIDED: the budget that ran out, and the size it was asked for
+    limit: int | None = None
+    needed: int | None = None
 
     def __bool__(self) -> bool:
         return self.status == "EQUIVALENT"
@@ -292,6 +301,98 @@ def _scaling_for_permutation(
     return words[hits[0]] if hits.size else None
 
 
+def _candidate_permutations(field: GF, g1: np.ndarray, r2: np.ndarray, pivots):
+    """Column permutations perm (target column j takes source column perm[j]
+    of g1) in lexicographic order, less those whose scaling system in
+    `_scaling_for_permutation` forces a coordinate to zero: it returns None
+    for them before its budget check, so skipping them changes nothing.
+
+    For d with zeros allowed, the rows of g1[:, perm] diag(d) lie in the code
+    of the rref r2 exactly when that matrix is A r2, with A its pivot columns
+    g1[:, src] diag(d_pivots), src the sources of the pivot columns.  The
+    linear system therefore forces a coordinate to zero
+    - when g1[:, src] is singular: g1 has full rank, so some source column
+      outside its span feeds a non-pivot column c, and d_c = 0;
+    - otherwise, with B = g1[:, src]^-1 g1, when a non-pivot column c with
+      source s has B[i, s] != 0 = r2[i, c] (d_c = 0) or the reverse (the
+      pivot's d = 0);
+    - or when the ratios d_c / d_(pivot i) = r2[i, c] / B[i, s] disagree
+      around a cycle of the bipartite graph of rows and columns, which
+      forces the whole component to zero.
+    Where none of these holds, every component takes a nonzero value, so a
+    surviving permutation admits a scaling unless the budget stops it.  B is
+    one elimination per unordered source set; the ratios live in a weighted
+    union-find over the pivot rows (d_pivot_i = pot[i] * x_comp[i])."""
+    n, k = g1.shape[1], len(pivots)
+    mul, div = field.mul_i, field.div_i
+    targets = r2.T.tolist()  # the k entries of each column of r2
+    last = pivots[-1] if k else -1  # every pivot has its source from here on
+    deferred = [c for c in range(last) if c not in pivots]  # checked at depth last
+    inverses: dict[tuple[int, ...], dict | None] = {}
+
+    def columns(src):
+        """The columns of g1[:, src]^-1 g1, or None when g1[:, src] is singular."""
+        key = tuple(sorted(src))
+        if key not in inverses:
+            order = list(key) + [c for c in range(n) if c not in key]
+            reduced, found = linalg._rref_rows(field, g1[:, order].tolist(), n)
+            inverses[key] = None if found != tuple(range(k)) else {
+                c: [row[j] for row in reduced] for j, c in enumerate(order)}
+        cols = inverses[key]
+        if cols is None:
+            return None
+        rank = [key.index(s) for s in src]
+        return [[cols[s][r] for r in rank] for s in range(n)]
+
+    def constrain(state, source, target):
+        """state with the equations of one non-pivot column added, or None
+        when they force a coordinate to zero."""
+        comp, pot = state
+        anchor = None
+        for i, (b, t) in enumerate(zip(source, target)):
+            if not b or not t:
+                if b or t:
+                    return None  # zero patterns differ
+                continue
+            v = mul(div(t, b), pot[i])  # d_c / x_comp[i]
+            if anchor is None:
+                anchor, va = comp[i], v
+            elif comp[i] == anchor:
+                if v != va:
+                    return None  # inconsistent ratios
+            else:  # x_comp[i] = x_anchor * va / v
+                old, f = comp[i], div(va, v)
+                pot = [mul(p, f) if x == old else p for x, p in zip(comp, pot)]
+                comp = [anchor if x == old else x for x in comp]
+        return comp, pot
+
+    def search(perm, free, cols, state):
+        j = len(perm)
+        if j == n:
+            yield tuple(perm)
+            return
+        for s in free:
+            sub_cols, sub_state = cols, state
+            if j == last:  # B is known from here: check the deferred columns
+                sub_cols = columns([perm[c] for c in pivots[:-1]] + [s])
+                if sub_cols is None:
+                    continue
+                for c in deferred:
+                    sub_state = constrain(sub_state, sub_cols[perm[c]], targets[c])
+                    if sub_state is None:
+                        break
+            elif j > last:
+                sub_state = constrain(state, cols[s], targets[j])
+            if sub_state is None:
+                continue
+            perm.append(s)
+            yield from search(perm, [t for t in free if t != s], sub_cols, sub_state)
+            perm.pop()
+
+    start = columns([]) if k == 0 else None
+    yield from search([], list(range(n)), start, (list(range(k)), [1] * k))
+
+
 def monomial_equivalence(
     c1: LinearCode,
     c2: LinearCode,
@@ -301,10 +402,18 @@ def monomial_equivalence(
     """Decide monomial equivalence (column permutation composed with nonzero
     column scalings) constructively.
 
-    Pipeline: dimension/length filter, weight-enumerator filter, then for
-    each column permutation a linear feasibility check for the scalings
-    against the dual of the target code.  Returns an explicit witness on
-    success; UNDECIDED only when a budget was exhausted.
+    Pipeline: dimension/length filter, weight-enumerator filter, the n!
+    permutation budget, then a lexicographic depth-first search over the
+    column permutations that skips those whose scaling system forces a
+    coordinate to zero (`_candidate_permutations`), and for each survivor
+    the linear feasibility check for the scalings against the dual of the
+    target code.  The pruned permutations are exactly those for which that
+    check returns None before its budget check, so the verdict, the reason
+    and the witness (the first hit in lexicographic order) are those of the
+    walk over all n! permutations.  Returns an explicit witness on success;
+    UNDECIDED only when a budget was exhausted, with that budget's `limit`
+    and the `needed` size: n! against the permutation budget, or the largest
+    q^dim of a scaling search that ran out.
     """
     if c1.field != c2.field:
         raise ValueError("codes over different fields")
@@ -318,18 +427,21 @@ def monomial_equivalence(
         pass  # the invariant filter is optional; the search below is exact
     if math.factorial(n) > permutation_budget:
         return MonomialVerdict(
-            "UNDECIDED", reason=f"{n}! permutations exceed the budget"
+            "UNDECIDED", reason=f"{n}! permutations exceed the budget",
+            limit=permutation_budget, needed=math.factorial(n),
         )
     field = c1.field
     g1, _ = c1._reduced()
-    checks = linalg.left_kernel(field, c2.rref.T)
-    undecided = False
-    for perm in permutations(range(n)):
+    r2, pivots = c2._reduced()
+    checks = linalg.left_kernel(field, r2.T)
+    exhausted = None  # the scaling search that ran out with the largest q^dim
+    for perm in _candidate_permutations(field, g1, r2, pivots):
         permuted = g1[:, perm]
         try:
             scaling = _scaling_for_permutation(field, permuted, checks)
-        except BudgetExceededError:
-            undecided = True
+        except BudgetExceededError as exc:
+            if exhausted is None or exc.needed > exhausted.needed:
+                exhausted = exc
             continue
         if scaling is None:
             continue
@@ -339,6 +451,9 @@ def monomial_equivalence(
         if not moved.equals(c2):
             raise AssertionError("scaling feasibility produced a bad witness")
         return MonomialVerdict("EQUIVALENT", witness=witness)
-    if undecided:
-        return MonomialVerdict("UNDECIDED", reason="scaling search budget exhausted")
+    if exhausted is not None:
+        return MonomialVerdict(
+            "UNDECIDED", reason="scaling search budget exhausted",
+            limit=exhausted.limit, needed=exhausted.needed,
+        )
     return MonomialVerdict("INEQUIVALENT", reason="no permutation admits a scaling")

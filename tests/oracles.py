@@ -5,13 +5,27 @@ direct method, exponential or factorization-based, so it is usable only at
 test scale.
 """
 
-from itertools import product
-from math import comb
+from itertools import permutations, product
+from math import comb, factorial
 
 import numpy as np
 
-from agcyclic import BudgetExceededError, Place, Polynomial, factor, valuation
+from agcyclic import (
+    BudgetExceededError,
+    MobiusMap,
+    Place,
+    Polynomial,
+    RationalFunction,
+    factor,
+    valuation,
+)
 from agcyclic.linalg import left_kernel
+from agcyclic.lincode import (
+    DEFAULT_CODEWORD_BUDGET,
+    DEFAULT_PERMUTATION_BUDGET,
+    MonomialVerdict,
+    _scaling_for_permutation,
+)
 from agcyclic.rfield import INF, NEG_INF
 
 
@@ -177,6 +191,54 @@ def scaling_by_product_loop(field, permuted_rref, checks):
     return None
 
 
+def monomial_equivalence_by_walk(
+    c1,
+    c2,
+    codeword_budget=DEFAULT_CODEWORD_BUDGET,
+    permutation_budget=DEFAULT_PERMUTATION_BUDGET,
+):
+    """Monomial equivalence by the full walk: the same filters as
+    `monomial_equivalence`, then one scaling solve for every one of the n!
+    column permutations in lexicographic order; the first that admits a
+    scaling gives the witness."""
+    if c1.field != c2.field:
+        raise ValueError("codes over different fields")
+    if c1.n != c2.n or c1.dimension() != c2.dimension():
+        return MonomialVerdict("INEQUIVALENT", reason="length or dimension differ")
+    n = c1.n
+    try:
+        if c1.weight_enumerator(codeword_budget) != c2.weight_enumerator(codeword_budget):
+            return MonomialVerdict("INEQUIVALENT", reason="weight enumerators differ")
+    except BudgetExceededError:
+        pass  # the invariant filter is optional; the search below is exact
+    if factorial(n) > permutation_budget:
+        return MonomialVerdict(
+            "UNDECIDED", reason=f"{n}! permutations exceed the budget"
+        )
+    field = c1.field
+    g1, _ = c1._reduced()
+    checks = left_kernel(field, c2.rref.T)
+    undecided = False
+    for perm in permutations(range(n)):
+        permuted = g1[:, perm]
+        try:
+            scaling = _scaling_for_permutation(field, permuted, checks)
+        except BudgetExceededError:
+            undecided = True
+            continue
+        if scaling is None:
+            continue
+        witness = np.zeros((n, n), dtype=np.int64)
+        witness[list(perm), np.arange(n)] = scaling
+        moved = c1.apply_monomial(witness)
+        if not moved.equals(c2):
+            raise AssertionError("scaling feasibility produced a bad witness")
+        return MonomialVerdict("EQUIVALENT", witness=witness)
+    if undecided:
+        return MonomialVerdict("UNDECIDED", reason="scaling search budget exhausted")
+    return MonomialVerdict("INEQUIVALENT", reason="no permutation admits a scaling")
+
+
 def weights_by_brute_force(field, generator):
     """Weight counts of the row space of generator: every coefficient vector
     from itertools.product, each word built by scalar operations and kept in
@@ -262,3 +324,30 @@ def order_by_normalized_products(matrix):
         if n > 2 * (matrix.field.q + 1):
             raise AssertionError("order loop failed to terminate")
     return n
+
+
+def invariant_generator_eagerly(matrix):
+    """(method, z) for the first of the trace, the norm and the second power
+    sum of the x-images with degree equal to the order m of matrix, z made
+    monic, after building all three; ValueError when none has degree m."""
+    m = matrix.order()
+    field = matrix.field
+    images = []
+    power = MobiusMap.identity(field)
+    for _ in range(m):
+        images.append(RationalFunction(
+            Polynomial(field, [power.b, power.a]), Polynomial(field, [power.d, power.c])))
+        power = power * matrix
+    trace = images[0]
+    for f in images[1:]:
+        trace = trace + f
+    norm = images[0]
+    for f in images[1:]:
+        norm = norm * f
+    psum2 = images[0] * images[0]
+    for f in images[1:]:
+        psum2 = psum2 + f * f
+    for method, z in (("trace", trace), ("norm", norm), ("power-sum-2", psum2)):
+        if z.degree == m:
+            return method, RationalFunction(z.num.monic(), z.den)
+    raise ValueError("no invariant generator of full degree")

@@ -1,5 +1,7 @@
 """Invariant generators and fiber splitting."""
 
+from collections import Counter
+
 import pytest
 
 from agcyclic import (
@@ -15,6 +17,8 @@ from agcyclic import (
     mobius_substitute,
     splitting_report,
 )
+from agcyclic.pgl2 import all_pgl2
+from oracles import invariant_generator_eagerly
 
 F4 = GF(2, 2)
 F5 = GF(5)
@@ -111,3 +115,26 @@ def test_splitting_report_examples():
     assert report.all_ok
     assert any(is_infinite(t) for t in report.orbit)
     assert len(report.fiber) == 5
+
+
+@pytest.mark.parametrize("field", [GF(7), GF(2, 3), GF(3, 2), GF(11)], ids=str)
+def test_lazy_candidates_match_eager_oracle(field):
+    """The norm and the power sum are built only when the candidates before
+    them fall short of degree m; the choice and z are those of building all
+    three first, on every map of order m >= 2."""
+    methods = Counter()
+    for matrix in all_pgl2(field):
+        if matrix.order() < 2:
+            continue
+        try:
+            gen = invariant_generator(matrix)
+            got = (gen.method, gen.z)
+        except ValueError:
+            got = None
+        try:
+            want = invariant_generator_eagerly(matrix)
+        except ValueError:
+            want = None
+        assert got == want, matrix
+        methods[got and got[0]] += 1
+    assert methods["trace"] and methods["norm"], methods

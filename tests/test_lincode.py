@@ -2,7 +2,7 @@
 
 import random
 from collections import Counter
-from itertools import permutations, product
+from itertools import islice, permutations, product
 
 import numpy as np
 import pytest
@@ -21,8 +21,18 @@ from agcyclic import (
 )
 from agcyclic import lincode
 from agcyclic.linalg import left_kernel
-from agcyclic.lincode import _macwilliams, _scaling_for_permutation, _span
-from oracles import dual_weights_by_macwilliams, scaling_by_product_loop, weights_by_brute_force
+from agcyclic.lincode import (
+    _candidate_permutations,
+    _macwilliams,
+    _scaling_for_permutation,
+    _span,
+)
+from oracles import (
+    dual_weights_by_macwilliams,
+    monomial_equivalence_by_walk,
+    scaling_by_product_loop,
+    weights_by_brute_force,
+)
 from test_linalg import FIELDS, PROPERTY, combine, draw_matrix
 
 F2 = GF(2)
@@ -201,6 +211,21 @@ def test_monomial_equivalence_undecided_on_budget():
     c1, c2 = LinearCode(F5, gen), LinearCode(F5, gen)
     verdict = monomial_equivalence(c1, c2)  # 9! exceeds the default budget
     assert verdict.status == "UNDECIDED"
+    assert (verdict.limit, verdict.needed) == (40320, 362880)
+    verdict = monomial_equivalence(c1, c2, permutation_budget=1000)
+    assert (verdict.limit, verdict.needed) == (1000, 362880)
+
+
+def test_monomial_equivalence_undecided_on_scaling_budget():
+    # F^4 + a repetition block over GF(16): every permutation that admits a
+    # scaling has a kernel of dimension 5, 16^5 words against 2^16
+    code = LinearCode(GF(2, 4), repetition_sum((1, 1, 1, 1, 2)))
+    verdict = monomial_equivalence(code, code)
+    assert (verdict.status, verdict.reason) == ("UNDECIDED", "scaling search budget exhausted")
+    assert (verdict.limit, verdict.needed) == (1 << 16, 16 ** 5)
+    assert verdict.witness is None
+    decided = monomial_equivalence(scaling_code(F5, 2, 1), scaling_code(F5, 3, 1))
+    assert (decided.limit, decided.needed) == (None, None)
 
 
 def test_designed_distance_bound():
@@ -390,3 +415,166 @@ def test_scaling_search_matches_product_loop_oracle():
         check(field, repetition, np.vstack([checks, unit]))
     assert seen["budget"] >= 2 and seen["hit"] > 100, seen
     assert seen["kernel dim >= 2"] > 500 and seen[None] > 1000, seen
+
+
+# ---------------------------------------------------------------------------
+# the pruned permutation search against the full walk
+# ---------------------------------------------------------------------------
+
+def repetition_sum(blocks, n=None):
+    """Direct sum of repetition codes of the given lengths, padded with zero
+    columns to length n."""
+    total = sum(blocks)
+    gen = np.zeros((len(blocks), n or total), dtype=np.int64)
+    start = 0
+    for row, length in enumerate(blocks):
+        gen[row, start:start + length] = 1
+        start += length
+    return gen
+
+
+def grs_code(field, points, multipliers, k):
+    rows = [[field.mul_i(v, field.pow_i(x, i)) for x, v in zip(points, multipliers)]
+            for i in range(k)]
+    return LinearCode(field, np.array(rows, dtype=np.int64).reshape(k, len(points)))
+
+
+def monomial_image(field, code, perm, rng):
+    n = code.n
+    witness = np.zeros((n, n), dtype=np.int64)
+    witness[list(perm), np.arange(n)] = [rng.randrange(1, field.q) for _ in range(n)]
+    return code.apply_monomial(witness)
+
+
+def random_generator(field, rng, n, k):
+    """k x n with a zero column or a repeated column now and then."""
+    gen = np.array([[rng.randrange(field.q) for _ in range(n)] for _ in range(k)],
+                   dtype=np.int64).reshape(k, n)
+    if n > 1 and rng.random() < 0.3:
+        gen[:, rng.randrange(n)] = 0
+    if n > 1 and rng.random() < 0.3:
+        a, b = rng.sample(range(n), 2)
+        gen[:, a] = gen[:, b]
+    return gen
+
+
+def witness_permutation(witness):
+    """perm with column j of the image taken from column perm[j]."""
+    return tuple(int(i) for i in np.argmax(witness != 0, axis=0))
+
+
+def assert_matches_walk(c1, c2, **budgets):
+    got = monomial_equivalence(c1, c2, **budgets)
+    want = monomial_equivalence_by_walk(c1, c2, **budgets)
+    assert (got.status, got.reason) == (want.status, want.reason)
+    if want.witness is None:
+        assert got.witness is None
+    else:
+        assert np.array_equal(got.witness, want.witness)
+    return got.status
+
+
+def test_pruned_search_matches_full_walk():
+    """Status, reason and witness of the pruned search equal those of the
+    walk over all n! permutations: every field of order at most 9, n = 1..6
+    and every k, planted monomial images and random pairs (compared with and
+    without the weight-enumerator filter), a few GRS pairs at n = 7, and
+    direct sums of repetition codes whose scaling search passes its budget."""
+    rng = random.Random(7)
+    fields = [GF(2), GF(3), GF(2, 2), GF(5), GF(7), GF(2, 3), GF(3, 2)]
+    seen = Counter()
+    for field in fields:
+        for n in range(1, 7):
+            for k in range(n + 1):
+                c1 = LinearCode(field, random_generator(field, rng, n, k))
+                planted = monomial_image(field, c1, rng.sample(range(n), n), rng)
+                seen[assert_matches_walk(c1, planted)] += 1
+                for budget in (1, 10 ** 7):  # without and with the filter
+                    other = LinearCode(field, random_generator(field, rng, n, k))
+                    seen[assert_matches_walk(c1, other, codeword_budget=budget)] += 1
+    for pm, k in (((11,), 3), ((13,), 2), ((2, 3), 4)):
+        field = GF(*pm)
+        points = rng.sample(range(field.q), 7)
+        c1 = grs_code(field, points, [rng.randrange(1, field.q) for _ in range(7)], k)
+        perm = tuple(rng.sample(range(7), 7))
+        seen[assert_matches_walk(c1, monomial_image(field, c1, perm, rng))] += 1
+        c2 = grs_code(field, rng.sample(range(field.q), 7), [1] * 7, k)
+        seen[assert_matches_walk(c1, c2)] += 1
+    for pm, blocks in (((2, 4), (2, 2, 2)), ((2, 4), (1, 1, 1, 1, 2)),
+                       ((3, 2), (1, 1, 1, 1, 2)), ((3, 2), (1, 1, 1, 1, 1))):
+        field = GF(*pm)
+        code = LinearCode(field, repetition_sum(blocks, 6))
+        seen[assert_matches_walk(code, code)] += 1
+        image = monomial_image(field, code, rng.sample(range(6), 6), rng)
+        seen[assert_matches_walk(code, image)] += 1
+    assert seen["UNDECIDED"] >= 4 and seen["INEQUIVALENT"] > 50, seen
+    assert seen["EQUIVALENT"] > 150, seen
+
+
+def test_candidates_are_the_permutations_with_a_scaling():
+    """The search keeps exactly the permutations whose scaling solve finds a
+    scaling or runs out of budget: the pruned ones return None before the
+    budget check, and nothing that could be pruned survives."""
+    rng = random.Random(5)
+    fields = [GF(2), GF(3), GF(2, 2), GF(5), GF(7), GF(2, 3), GF(3, 2)]
+    pairs = []
+    for _ in range(150):
+        field = rng.choice(fields)
+        n = rng.randint(1, 5)
+        k = rng.randint(0, n)
+        c1 = LinearCode(field, random_generator(field, rng, n, k))
+        c2 = (monomial_image(field, c1, rng.sample(range(n), n), rng) if rng.random() < 0.5
+              else LinearCode(field, random_generator(field, rng, n, k)))
+        pairs.append((field, c1, c2))
+    field = GF(2, 4)
+    code = LinearCode(field, repetition_sum((1, 1, 1, 1, 2)))
+    pairs.append((field, code, monomial_image(field, code, rng.sample(range(6), 6), rng)))
+    seen = Counter()
+    for field, c1, c2 in pairs:
+        if c1.dimension() != c2.dimension():
+            continue
+        r2, pivots = c2._reduced()
+        checks = left_kernel(field, r2.T)
+        kept = list(_candidate_permutations(field, c1.rref, r2, pivots))
+        outcomes = {p: scaling_outcome(_scaling_for_permutation, field, c1.rref[:, p], checks)
+                    for p in permutations(range(c1.n))}
+        assert kept == [p for p, found in outcomes.items() if found is not None]
+        seen.update("budget" if found == "budget" else found is not None
+                    for found in outcomes.values())
+    assert seen["budget"] and seen[True] > 500 and seen[False] > 2000, seen
+
+
+@pytest.mark.parametrize("pm,k", [((11,), 2), ((11,), 3), ((13,), 3), ((13,), 4)])
+def test_witness_is_the_first_permutation_with_a_scaling(pm, k, monkeypatch):
+    """Planted GRS pairs at n = 6 whose planted permutation sits at rank
+    n!/2: the witness's permutation is the first, in lexicographic order,
+    for which a scaling exists, and the search solves one scaling system
+    for it, pruning the 360 before it without a kernel.  Point sets are
+    drawn until the planted permutation is that first one (the code's
+    automorphisms compose with it into the other permutations that admit a
+    scaling)."""
+    field, n = GF(*pm), 6
+    rng = random.Random(f"{pm}:{k}")
+    order = list(permutations(range(n)))
+    planted = order[len(order) // 2]
+    for _ in range(100):
+        c1 = grs_code(field, rng.sample(range(field.q), n),
+                      [rng.randrange(1, field.q) for _ in range(n)], k)
+        c2 = monomial_image(field, c1, planted, rng)
+        verdict = monomial_equivalence(c1, c2)
+        assert verdict.status == "EQUIVALENT"
+        perm = witness_permutation(verdict.witness)
+        checks = left_kernel(field, c2.rref.T)
+        earlier = islice(order, order.index(perm))
+        assert all(_scaling_for_permutation(field, c1.rref[:, p], checks) is None
+                   for p in earlier)
+        assert _scaling_for_permutation(field, c1.rref[:, perm], checks) is not None
+        if perm == planted:
+            calls = []
+            monkeypatch.setattr(lincode.linalg, "left_kernel",
+                                lambda *args: calls.append(1) or left_kernel(*args))
+            # no weight filter: the dual of c2, then one scaling solve
+            assert monomial_equivalence(c1, c2, codeword_budget=1).status == "EQUIVALENT"
+            assert len(calls) == 2
+            return
+    pytest.fail("no draw put the planted permutation first")
