@@ -69,12 +69,7 @@ def field_for(q: int) -> GF:
 
 def _triangular(field: GF, a_val: int, b_val: int) -> MobiusMap:
     """[[1, -b], [0, a]] from parameter values."""
-    return MobiusMap(
-        field.one,
-        -field.from_value(b_val),
-        field.zero,
-        field.from_value(a_val),
-    )
+    return MobiusMap.from_values(field, 1, field.neg_i(b_val), 0, a_val)
 
 
 def _projective_points(field: GF):
@@ -281,9 +276,7 @@ def criterion_6() -> CriterionResult:
             for d_val in range(1, field.q):
                 if c_val == 0 and d_val == 1:
                     continue
-                matrix = MobiusMap(
-                    field.one, field.zero, field.from_value(c_val), field.from_value(d_val)
-                )
+                matrix = MobiusMap.from_values(field, 1, 0, c_val, d_val)
                 m = matrix.order()
                 if m < 3 or m > 8:
                     continue
@@ -454,7 +447,7 @@ def criterion_9() -> CriterionResult:
     failures = []
     for q in (2, 3, 4, 5, 7, 8, 9):
         field = field_for(q)
-        inventory = [MobiusMap.translation_type(field)]
+        inventory = [MobiusMap.translation(field.one)]
         if q > 2:
             inventory.append(MobiusMap.scaling(primitive_element(field)))
         for matrix in all_pgl2(field):

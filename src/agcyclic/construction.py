@@ -169,7 +169,8 @@ class CyclicityReport:
     Flags that need an automorphism are None when none was supplied (the
     Frobenius construction moves constants, not x, so it carries no matrix).
     The weight enumerator (None when not constructible or over budget)
-    gives the distance.
+    gives the distance; `code` is the code the checks ran on (None when not
+    constructible).
     """
 
     n: int
@@ -187,6 +188,7 @@ class CyclicityReport:
     order_divisibility: bool | None
     induced_shift_solvable: bool
     code_cyclic: bool
+    code: LinearCode | None = None
 
     @property
     def all_ok(self) -> bool:
@@ -287,6 +289,7 @@ def verify_cyclic_construction(
         order_divisibility=order_divisibility,
         induced_shift_solvable=induced,
         code_cyclic=code_cyclic,
+        code=code,
     )
 
 
@@ -311,8 +314,8 @@ def frobenius_code(
         raise ValueError(f"need r + s < n = {n}, got r + s = {r + s}")
     D = [Place.at(e) for e in conjugates]
     G = Divisor(field, {Place.at(field.zero): r, Place.infinity(field): s})
-    code = construct_ag_code(D, G)
-    return code, verify_cyclic_construction(None, D, G)
+    report = verify_cyclic_construction(None, D, G)
+    return report.code, report
 
 
 def roots_of_unity_code(
@@ -329,8 +332,8 @@ def roots_of_unity_code(
     orbit = matrix.orbit(field.one)
     D = [place_of_point(field, t) for t in orbit]
     G = Divisor(field, {Place.at(field.zero): r, Place.infinity(field): s})
-    code = construct_ag_code(D, G)
-    return code, verify_cyclic_construction(matrix, D, G)
+    report = verify_cyclic_construction(matrix, D, G)
+    return report.code, report
 
 
 def artin_schreier_code(field: GF, s: int) -> tuple[LinearCode, CyclicityReport]:
@@ -346,8 +349,8 @@ def artin_schreier_code(field: GF, s: int) -> tuple[LinearCode, CyclicityReport]
     orbit = matrix.orbit(alpha)
     D = [place_of_point(field, t) for t in orbit]
     G = Divisor.of_place(Place.infinity(field), s)
-    code = construct_ag_code(D, G)
-    return code, verify_cyclic_construction(matrix, D, G)
+    report = verify_cyclic_construction(matrix, D, G)
+    return report.code, report
 
 
 # ---------------------------------------------------------------------------
@@ -373,14 +376,14 @@ def transport_zero_to_infinity(spec: OrbitCodeSpec) -> OrbitCodeSpec:
     elementwise.  The transported spec generates the same code."""
     if is_infinite(spec.beta) or not spec.beta.is_zero():
         raise ValueError("transport needs pole point zero")
-    A = spec.matrix
-    if not A.b.is_zero():
+    _a, b, c, d = spec.matrix.entries
+    if b:
         raise AssertionError("matrix fixing zero must have b = 0")
     if is_infinite(spec.alpha) or not spec.alpha.is_zero():
         new_alpha = invert_point(spec.field, spec.alpha)
     else:  # unreachable: zero is fixed, never a seed
         raise ValueError("seed zero cannot be inverted")
-    swapped = MobiusMap(A.d, A.c, spec.field.zero, spec.field.one)
+    swapped = MobiusMap.from_values(spec.field, d, c, 0, 1)
     return OrbitCodeSpec(swapped, new_alpha, INF, spec.r)
 
 
@@ -461,9 +464,7 @@ def canonicalize(spec: OrbitCodeSpec) -> CanonicalResult:
     relation = "EQUAL"
     witness = np.eye(n, dtype=np.int64)
     if a == field.one:
-        canonical = OrbitCodeSpec(
-            MobiusMap.translation_type(field), field.one, INF, spec.r
-        )
+        canonical = OrbitCodeSpec(MobiusMap.translation(field.one), field.one, INF, spec.r)
     else:
         c = find_element_of_order(field, n)
         canonical = OrbitCodeSpec(MobiusMap.scaling(c), field.one, INF, spec.r)

@@ -23,9 +23,9 @@ from functools import reduce
 from .pgl2 import MobiusMap, ProjPoint, is_infinite
 from .rfield import (
     Place,
-    Polynomial,
     RationalFunction,
     factor,
+    mobius_formula,
     mobius_substitute,
 )
 
@@ -47,12 +47,7 @@ def invariant_generator(matrix: MobiusMap) -> InvariantGenerator:
     images = []
     power = MobiusMap.identity(field)
     for _ in range(m):
-        images.append(
-            RationalFunction(
-                Polynomial(field, [power.b, power.a]),
-                Polynomial(field, [power.d, power.c]),
-            )
-        )
+        images.append(RationalFunction(*mobius_formula(power)))
         power = power * matrix
     candidates = (
         ("trace", lambda: reduce(operator.add, images)),

@@ -412,8 +412,8 @@ def monomial_equivalence(
     and the witness (the first hit in lexicographic order) are those of the
     walk over all n! permutations.  Returns an explicit witness on success;
     UNDECIDED only when a budget was exhausted, with that budget's `limit`
-    and the `needed` size: n! against the permutation budget, or the largest
-    q^dim of a scaling search that ran out.
+    and the `needed` size: n! against the permutation budget, or the q^dim
+    of the first scaling search that ran out.
     """
     if c1.field != c2.field:
         raise ValueError("codes over different fields")
@@ -434,15 +434,18 @@ def monomial_equivalence(
     g1, _ = c1._reduced()
     r2, pivots = c2._reduced()
     checks = linalg.left_kernel(field, r2.T)
-    exhausted = None  # the scaling search that ran out with the largest q^dim
     for perm in _candidate_permutations(field, g1, r2, pivots):
         permuted = g1[:, perm]
         try:
             scaling = _scaling_for_permutation(field, permuted, checks)
         except BudgetExceededError as exc:
-            if exhausted is None or exc.needed > exhausted.needed:
-                exhausted = exc
-            continue
+            # Every survivor's scaling kernel has one dimension per component
+            # of the graph on r2's support, which its zero pattern matches,
+            # so every later survivor would run out with the same q^dim.
+            return MonomialVerdict(
+                "UNDECIDED", reason="scaling search budget exhausted",
+                limit=exc.limit, needed=exc.needed,
+            )
         if scaling is None:
             continue
         witness = np.zeros((n, n), dtype=np.int64)
@@ -451,9 +454,4 @@ def monomial_equivalence(
         if not moved.equals(c2):
             raise AssertionError("scaling feasibility produced a bad witness")
         return MonomialVerdict("EQUIVALENT", witness=witness)
-    if exhausted is not None:
-        return MonomialVerdict(
-            "UNDECIDED", reason="scaling search budget exhausted",
-            limit=exhausted.limit, needed=exhausted.needed,
-        )
     return MonomialVerdict("INEQUIVALENT", reason="no permutation admits a scaling")

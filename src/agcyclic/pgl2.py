@@ -1,13 +1,17 @@
 """Elements of PGL2(F_q) and their action on the projective line.
 
-A matrix [[a, b], [c, d]] with ad - bc != 0 is stored in normalized form
-(first nonzero entry in row-major order scaled to 1), so equality is
-componentwise.  The attached field automorphism sends x to (ax+b)/(cx+d)
-and moves points of the projective line by the INVERSE fractional action:
-the place at a point t moves to the place at A^{-1}.t.  Orbits are walked
-with A^{-1}, so iterating the image map n times returns to the start.
-Orders, orbits and fixed points run on int values, q standing for infinity;
-points become FieldElement or INF only in the results.
+A matrix [[a, b], [c, d]] with ad - bc != 0 is stored as its four entry
+values (ints in [0, q)) in normalized form: the first nonzero entry in
+row-major order is scaled to 1, so equality is componentwise.  The attached
+field automorphism sends x to (ax+b)/(cx+d) and moves points of the
+projective line by the INVERSE fractional action: the place at a point t
+moves to the place at A^{-1}.t.  Orbits are walked with A^{-1}, so iterating
+the image map n times returns to the start.
+
+Normalization, products, inverses, orders, orbits and fixed points all run
+on int values, q standing for infinity.  FieldElement appears only at the
+boundary: the element constructor MobiusMap(a, b, c, d), the read-only entry
+views .a, .b, .c, .d, and the points that the action takes and returns.
 """
 
 from __future__ import annotations
@@ -16,26 +20,41 @@ from .gf import GF, FieldElement
 from .rfield import INF, ProjPoint, is_infinite, parse_point
 
 
+def _entry_view(i: int) -> property:
+    return property(lambda self: FieldElement(self.field, self.entries[i]))
+
+
 class MobiusMap:
     """An element of PGL2(F_q); immutable, canonical representation."""
 
-    __slots__ = ("field", "a", "b", "c", "d")
+    __slots__ = ("field", "entries")
 
     def __init__(self, a: FieldElement, b: FieldElement, c: FieldElement, d: FieldElement):
         field = a.field
         for e in (b, c, d):
             if e.field != field:
                 raise ValueError("matrix entries from mixed fields")
-        det = a * d - b * c
-        if det.is_zero():
+        self._normalize(field, a.val, b.val, c.val, d.val)
+
+    @classmethod
+    def from_values(cls, field: GF, a: int, b: int, c: int, d: int) -> "MobiusMap":
+        """The map [[a, b], [c, d]] from entry values in [0, q)."""
+        self = cls.__new__(cls)
+        self._normalize(field, a, b, c, d)
+        return self
+
+    def _normalize(self, field: GF, a: int, b: int, c: int, d: int) -> None:
+        mul = field.mul_i
+        if field.sub_i(mul(a, d), mul(b, c)) == 0:
             raise ValueError("degenerate matrix: ad - bc = 0")
-        for e in (a, b, c, d):
-            if not e.is_zero():
-                inv = e.inverse()
-                a, b, c, d = a * inv, b * inv, c * inv, d * inv
-                break
+        lead = a or b  # the first row of an invertible matrix is nonzero
+        if lead != 1:
+            inv = field.inv_i(lead)
+            a, b, c, d = mul(a, inv), mul(b, inv), mul(c, inv), mul(d, inv)
         self.field = field
-        self.a, self.b, self.c, self.d = a, b, c, d
+        self.entries = (a, b, c, d)
+
+    a, b, c, d = map(_entry_view, range(4))
 
     @classmethod
     def from_string(cls, field: GF, s: str) -> "MobiusMap":
@@ -52,65 +71,50 @@ class MobiusMap:
 
     @classmethod
     def identity(cls, field: GF) -> "MobiusMap":
-        return cls(field.one, field.zero, field.zero, field.one)
+        return cls.from_values(field, 1, 0, 0, 1)
 
     @classmethod
     def scaling(cls, a: FieldElement) -> "MobiusMap":
         """diag(1, a): the map whose orbits multiply by a."""
-        f = a.field
-        return cls(f.one, f.zero, f.zero, a)
-
-    @classmethod
-    def translation_type(cls, field: GF) -> "MobiusMap":
-        """[[1, 1], [0, 1]]: the order-p map fixing only infinity."""
-        return cls(field.one, field.one, field.zero, field.one)
+        return cls.from_values(a.field, 1, 0, 0, a.val)
 
     @classmethod
     def translation(cls, beta: FieldElement) -> "MobiusMap":
         """[[1, beta], [0, 1]], the automorphism x -> x + beta."""
-        f = beta.field
-        return cls(f.one, beta, f.zero, f.one)
+        return cls.from_values(beta.field, 1, beta.val, 0, 1)
 
     # -- group structure -------------------------------------------------------
 
     def __mul__(self, other: "MobiusMap") -> "MobiusMap":
-        if self.field != other.field:
+        f = self.field
+        if f != other.field:
             raise ValueError("mixed fields in matrix product")
-        return MobiusMap(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
+        mul, add = f.mul_i, f.add_i
+        a, b, c, d = self.entries
+        e, g, h, k = other.entries
+        return MobiusMap.from_values(
+            f,
+            add(mul(a, e), mul(b, h)),
+            add(mul(a, g), mul(b, k)),
+            add(mul(c, e), mul(d, h)),
+            add(mul(c, g), mul(d, k)),
         )
 
     def inverse(self) -> "MobiusMap":
-        return MobiusMap(self.d, -self.b, -self.c, self.a)
-
-    def __pow__(self, e: int) -> "MobiusMap":
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = MobiusMap.identity(self.field)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        f = self.field
+        a, b, c, d = self.entries
+        return MobiusMap.from_values(f, d, f.neg_i(b), f.neg_i(c), a)
 
     def is_identity(self) -> bool:
-        return (
-            self.b.is_zero()
-            and self.c.is_zero()
-            and self.a == self.d
-        )
+        a, b, c, d = self.entries
+        return not b and not c and a == d
 
     def order(self) -> int:
         """Order in PGL2(F_q), by iterated multiplication of int entries: an
         unnormalized power is the identity when b = c = 0 and a = d."""
         f = self.field
         mul, add = f.mul_i, f.add_i
-        pa, pb, pc, pd = a, b, c, d = self.a.val, self.b.val, self.c.val, self.d.val
+        pa, pb, pc, pd = a, b, c, d = self.entries
         n = 1
         while pb or pc or pa != pd:
             pa, pb, pc, pd = (add(mul(pa, a), mul(pb, c)), add(mul(pa, b), mul(pb, d)),
@@ -133,7 +137,7 @@ class MobiusMap:
     def _inverse_i(self, t: int) -> int:
         """A^{-1}.t on values, q standing for infinity."""
         f = self.field
-        a, b, c, d = self.a.val, self.b.val, self.c.val, self.d.val
+        a, b, c, d = self.entries
         if t == f.q:
             return f.q if c == 0 else f.div_i(f.neg_i(d), c)
         denom = f.sub_i(a, f.mul_i(c, t))
@@ -180,15 +184,12 @@ class MobiusMap:
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, MobiusMap)
+            and self.entries == other.entries
             and self.field == other.field
-            and self.a == other.a
-            and self.b == other.b
-            and self.c == other.c
-            and self.d == other.d
         )
 
     def __hash__(self) -> int:
-        return hash((self.field.p, self.field.m, self.a.val, self.b.val, self.c.val, self.d.val))
+        return hash((self.field.p, self.field.m, *self.entries))
 
     def __str__(self) -> str:
         return f"{self.a},{self.b};{self.c},{self.d}"
@@ -206,7 +207,7 @@ def triangular_params(mobius: MobiusMap) -> tuple[FieldElement, FieldElement]:
 
     The orbit map of such a matrix is t -> a*t + b.
     """
-    if not mobius.c.is_zero():
+    if mobius.entries[2]:
         raise ValueError("matrix is not triangular (c != 0)")
     return mobius.d, -mobius.b
 
@@ -257,16 +258,16 @@ def orbit_difference(
 
 def all_pgl2(field: GF):
     """All elements of PGL2(F_q) in canonical normalized order."""
-    one, zero = field.one, field.zero
-    for bv in range(field.q):
-        for cv in range(field.q):
-            for dv in range(field.q):
-                b, c, d = field.from_value(bv), field.from_value(cv), field.from_value(dv)
-                if d != b * c:  # det of [[1, b], [c, d]]
-                    yield MobiusMap(one, b, c, d)
-    for cv in range(1, field.q):
-        for dv in range(field.q):
-            yield MobiusMap(zero, one, field.from_value(cv), field.from_value(dv))
+    q, mul = field.q, field.mul_i
+    for b in range(q):
+        for c in range(q):
+            bc = mul(b, c)
+            for d in range(q):
+                if d != bc:  # det of [[1, b], [c, d]]
+                    yield MobiusMap.from_values(field, 1, b, c, d)
+    for c in range(1, q):
+        for d in range(q):
+            yield MobiusMap.from_values(field, 0, 1, c, d)
 
 
 __all__ = [

@@ -911,6 +911,12 @@ def _linear_combination_powers(
     return out
 
 
+def mobius_formula(mobius) -> tuple[Polynomial, Polynomial]:
+    """The numerator a x + b and the denominator c x + d of the map's formula."""
+    a, b, c, d = mobius.entries
+    return Polynomial.from_values(mobius.field, [b, a]), Polynomial.from_values(mobius.field, [d, c])
+
+
 def mobius_substitute(f: RationalFunction, mobius) -> RationalFunction:
     """Substitute x -> (a x + b)/(c x + d) into f and reduce.
 
@@ -919,8 +925,9 @@ def mobius_substitute(f: RationalFunction, mobius) -> RationalFunction:
     field = f.field
     if f.is_zero():
         return f
-    top = Polynomial(field, [mobius.b, mobius.a])
-    bottom = Polynomial(field, [mobius.d, mobius.c])
+    if mobius.field != field:
+        raise ValueError("coefficient from a different field")
+    top, bottom = mobius_formula(mobius)
     total = int(max(f.num.degree, f.den.degree))
     new_num = _linear_combination_powers(field, f.num.coeffs, top, bottom, total)
     new_den = _linear_combination_powers(field, f.den.coeffs, top, bottom, total)
@@ -943,8 +950,7 @@ def place_image(mobius, place: Place) -> Place:
     field = place.field
     q = place.poly
     d = int(q.degree)
-    top = Polynomial(field, [mobius.b, mobius.a])
-    bottom = Polynomial(field, [mobius.d, mobius.c])
+    top, bottom = mobius_formula(mobius)
     moved = _linear_combination_powers(field, q.coeffs, top, bottom, d)
     if moved.degree != d:
         raise AssertionError("degree dropped while moving an irreducible place")

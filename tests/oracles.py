@@ -280,6 +280,33 @@ def dual_weights_by_macwilliams(q, n, k, counts):
 # Mobius maps through FieldElement arithmetic
 # ---------------------------------------------------------------------------
 
+def normalized_by_elements(a, b, c, d):
+    """The entries of [[a, b], [c, d]] scaled so that the first nonzero one
+    in row-major order is 1, by FieldElement arithmetic; ValueError on
+    entries from mixed fields or a zero determinant."""
+    field = a.field
+    for e in (b, c, d):
+        if e.field != field:
+            raise ValueError("matrix entries from mixed fields")
+    if (a * d - b * c).is_zero():
+        raise ValueError("degenerate matrix: ad - bc = 0")
+    inv = next(e for e in (a, b, c, d) if not e.is_zero()).inverse()
+    return a * inv, b * inv, c * inv, d * inv
+
+
+def product_by_elements(x, y):
+    """Normalized entries of the product of two entry tuples."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return normalized_by_elements(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def inverse_by_elements(x):
+    """Normalized entries of the inverse of an entry tuple: the adjugate."""
+    a, b, c, d = x
+    return normalized_by_elements(d, -b, -c, a)
+
+
 def apply_inverse_by_elements(matrix, t):
     """A^{-1}.t by FieldElement arithmetic: (dt - b)/(a - ct), with
     A^{-1}.inf = -d/c (inf when c = 0) and a = ct sent to inf."""

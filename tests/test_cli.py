@@ -2,9 +2,15 @@
 
 import json
 import time
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from agcyclic import cli
 from agcyclic.cli import main
 from agcyclic.lincode import LinearCode
 
@@ -176,3 +182,49 @@ def test_example_honours_codeword_budget(capsys):
     assert code == 0
     assert doc["d"] is None and doc["weight_enumerator"] is None
     assert doc["report"]["distance"] == 4
+
+
+VALID_TOKENS = ["1", "2", "-1", "0", "3", "b", "b+2", "b^2+1"]  # b only outside GF(7)
+TOKENS = VALID_TOKENS + ["x", ""]
+
+
+def square_matrices(tokens):
+    entry = st.sampled_from(tokens)
+    return st.tuples(entry, entry, entry, entry).map(lambda e: "{},{};{},{}".format(*e))
+
+
+matrix_strings = st.one_of(
+    square_matrices(VALID_TOKENS),
+    square_matrices(TOKENS),
+    st.lists(st.lists(st.sampled_from(TOKENS), min_size=1, max_size=3), min_size=1, max_size=3)
+    .map(lambda rows: ";".join(",".join(r) for r in rows)),
+)
+seed_strings = st.one_of(st.none(), st.sampled_from(VALID_TOKENS), st.sampled_from(TOKENS + ["inf"]))
+
+
+def test_matrix_parser_fuzz_exits_cleanly(monkeypatch):
+    """Malformed, degenerate and valid --matrix and seed strings over GF(7),
+    GF(8) and GF(9) end in exit 0, 1 or 2, never an escaping exception.  The
+    `=` form keeps argparse from reading a leading '-' as an option."""
+    parser = cli.build_parser()  # built once: it is most of a failing call's time
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    exits = Counter()
+
+    @settings(max_examples=200)
+    @given(
+        command=st.sampled_from(["orbit", "fixedfield"]),
+        q=st.sampled_from(["7", "2^3", "3^2"]),
+        matrix=matrix_strings,
+        alpha=seed_strings,
+    )
+    def run_one(command, q, matrix, alpha):
+        argv = [command, "--q", q, f"--matrix={matrix}"]
+        if alpha is not None or command == "orbit":
+            argv.append(f"--alpha={alpha or ''}")
+        with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        exits[code] += 1
+
+    run_one()
+    assert exits[0] >= 10 and exits[2] >= 100, exits  # both paths are reached

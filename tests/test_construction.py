@@ -292,6 +292,33 @@ def test_artin_schreier_code():
         artin_schreier_code(F9, 0)
 
 
+@pytest.mark.parametrize("family", [
+    lambda: frobenius_code(2, 3, 1, 1),
+    lambda: roots_of_unity_code(F7, 6, 1, 1),
+    lambda: artin_schreier_code(F9, 2),
+], ids=["frobenius", "roots-of-unity", "artin-schreier"])
+def test_classical_families_build_their_code_once(family, monkeypatch):
+    # the default rows and the rr_basis reference inside the verification;
+    # the family returns the report's code instead of building a third
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return construct_ag_code(*args)
+
+    monkeypatch.setattr(construction, "construct_ag_code", counted)
+    code, report = family()
+    assert len(calls) == 2
+    assert code is report.code
+    assert code.equals(construct_ag_code(*calls[0]))
+
+
+def test_verify_report_carries_no_code_when_not_constructible():
+    D = [Place.at(F5.zero), Place.at(F5.one)]
+    report = verify_cyclic_construction(None, D, Divisor.of_place(D[0], 1))
+    assert report.code is None and not report.supports_disjoint
+
+
 def test_transport_pole_to_zero():
     matrix = MobiusMap(F5.one, -F5.element(3), F5.zero, F5.element(2))  # fixes 2, inf
     spec = OrbitCodeSpec(matrix, F5.zero, F5.element(2), 1)

@@ -216,11 +216,23 @@ def test_monomial_equivalence_undecided_on_budget():
     assert (verdict.limit, verdict.needed) == (1000, 362880)
 
 
-def test_monomial_equivalence_undecided_on_scaling_budget():
+def test_monomial_equivalence_undecided_on_scaling_budget(monkeypatch):
     # F^4 + a repetition block over GF(16): every permutation that admits a
-    # scaling has a kernel of dimension 5, 16^5 words against 2^16
-    code = LinearCode(GF(2, 4), repetition_sum((1, 1, 1, 1, 2)))
+    # scaling has a kernel of dimension 5, 16^5 words against 2^16, so the
+    # search stops at the first of its 48 survivors
+    field = GF(2, 4)
+    code = LinearCode(field, repetition_sum((1, 1, 1, 1, 2)))
+    r2, pivots = code._reduced()
+    assert len(list(_candidate_permutations(field, r2, r2, pivots))) == 48
+    solves = []
+
+    def counted(*args):
+        solves.append(args)
+        return _scaling_for_permutation(*args)
+
+    monkeypatch.setattr(lincode, "_scaling_for_permutation", counted)
     verdict = monomial_equivalence(code, code)
+    assert len(solves) == 1
     assert (verdict.status, verdict.reason) == ("UNDECIDED", "scaling search budget exhausted")
     assert (verdict.limit, verdict.needed) == (1 << 16, 16 ** 5)
     assert verdict.witness is None

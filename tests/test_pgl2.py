@@ -1,5 +1,8 @@
 """Mobius maps: action, orders, fixed points, orbits, closed-form formulas."""
 
+import random
+from itertools import product
+
 import pytest
 
 from agcyclic import GF, INF, MobiusMap, order_triangular, orbit_difference
@@ -7,9 +10,12 @@ from agcyclic.pgl2 import all_pgl2, geometric_sum, triangular_params
 from oracles import (
     apply_inverse_by_elements,
     fixed_points_by_elements,
+    inverse_by_elements,
+    normalized_by_elements,
     orbit_by_elements,
     order_by_normalized_products,
     points_equal,
+    product_by_elements,
 )
 
 F4 = GF(2, 2)
@@ -35,6 +41,78 @@ def test_normalization_canonical():
     assert a == b
     with pytest.raises(ValueError):
         MobiusMap.from_string(F5, "1,2;2,4")  # determinant zero
+
+
+LAW_FIELDS = [GF(2), GF(3), F4, F5, F7, GF(2, 3), GF(3, 2), GF(2, 4)]
+
+
+def values(entries):
+    return tuple(e.val for e in entries)
+
+
+@pytest.mark.parametrize("field", LAW_FIELDS, ids=repr)
+def test_int_group_law_matches_element_oracle(field):
+    """Products, inverses, equality, hashes and printing of the int-backed
+    maps against FieldElement normalization: every pair of PGL2(q) for
+    q <= 5, a seeded sample of pairs above."""
+    group = list(all_pgl2(field))
+    assert len(group) == field.q * (field.q ** 2 - 1) == len(set(group))
+    if field.q <= 5:
+        maps, pairs = group, list(product(group, repeat=2))
+    else:
+        rng = random.Random(f"pgl2-law:{field.q}")
+        maps = rng.sample(group, 60)
+        pairs = [tuple(rng.sample(group, 2)) for _ in range(300)] + [(x, x) for x in maps[:20]]
+    elements = {x: (x.a, x.b, x.c, x.d) for x in maps + [y for pair in pairs for y in pair]}
+    for x in maps:
+        ex = elements[x]
+        assert normalized_by_elements(*ex) == ex
+        assert x.inverse().entries == values(inverse_by_elements(ex))
+        assert hash(x) == hash((field.p, field.m) + values(ex))
+        assert str(x) == "{},{};{},{}".format(*ex)
+        assert repr(x) == "[[{}, {}], [{}, {}]]".format(*ex)
+    for x, y in pairs:
+        ex, ey = elements[x], elements[y]
+        assert (x * y).entries == values(product_by_elements(ex, ey))
+        assert (x == y) is (ex == ey)
+
+
+@pytest.mark.parametrize("field", LAW_FIELDS, ids=repr)
+def test_from_values_matches_element_constructor(field):
+    """MobiusMap.from_values and the FieldElement constructor normalize every
+    4-tuple alike for q <= 5 (a seeded sample with planted singular matrices
+    above), and refuse a zero determinant with the same message."""
+    if field.q <= 5:
+        tuples = list(product(range(field.q), repeat=4))
+    else:
+        rng = random.Random(f"pgl2-values:{field.q}")
+        tuples = [tuple(rng.randrange(field.q) for _ in range(4)) for _ in range(200)]
+        for a, b, k in ((rng.randrange(field.q), rng.randrange(field.q),
+                         rng.randrange(field.q)) for _ in range(40)):
+            tuples.append((a, b, field.mul_i(k, a), field.mul_i(k, b)))
+    singular = 0
+    for vals in tuples:
+        elems = [field.from_value(v) for v in vals]
+        try:
+            expected = values(normalized_by_elements(*elems))
+        except ValueError as exc:
+            singular += 1
+            with pytest.raises(ValueError, match=str(exc)):
+                MobiusMap(*elems)
+            with pytest.raises(ValueError, match=str(exc)):
+                MobiusMap.from_values(field, *vals)
+            continue
+        assert MobiusMap(*elems).entries == MobiusMap.from_values(field, *vals).entries == expected
+    assert 0 < singular < len(tuples)
+
+
+def test_mixed_fields_are_refused():
+    with pytest.raises(ValueError, match="matrix entries from mixed fields"):
+        MobiusMap(F5.one, F7.zero, F5.zero, F5.one)
+    with pytest.raises(ValueError, match="matrix entries from mixed fields"):
+        normalized_by_elements(F5.one, F7.zero, F5.zero, F5.one)
+    with pytest.raises(ValueError, match="mixed fields in matrix product"):
+        MobiusMap.identity(F5) * MobiusMap.identity(F7)
 
 
 def test_apply_inverse_cases():

@@ -186,6 +186,9 @@ def test_mobius_substitute_identity_and_linear():
         g = RationalFunction.from_polynomial(Polynomial.x_minus(a))
         moved = mobius_substitute(g, shift)
         assert moved == RationalFunction.from_polynomial(Polynomial.x_minus(a + F5.one))
+    constant = RationalFunction.constant(F5.one)
+    with pytest.raises(ValueError, match="different field"):
+        mobius_substitute(constant, MobiusMap.identity(GF(7)))
 
 
 def test_mobius_substitute_degree2_invariant_place():
