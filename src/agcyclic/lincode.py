@@ -3,7 +3,8 @@
 Codes are row spaces of integer-encoded generator matrices (numpy int64,
 values in [0, q)).  Rows may be dependent; every derived quantity uses the
 rank.  The exhaustive kernels (minimum distance, weight enumerator)
-enumerate the smaller of C and its dual in chunks, comparing words instead
+enumerate the smaller of C and its dual one word per line, (q^dim - 1)/(q - 1)
+words against one block of at most _CHUNK entries, comparing words instead
 of adding them, and map a dual distribution back by the MacWilliams
 identity in exact integers.  Their budget bounds q^dim, the size of the
 code decided, whichever side is enumerated.
@@ -28,7 +29,7 @@ from .gf import GF
 
 DEFAULT_CODEWORD_BUDGET = 10 ** 7
 DEFAULT_PERMUTATION_BUDGET = 40320  # 8!
-_CHUNK = 1 << 18
+_CHUNK = 1 << 21  # entries of the enumeration block (16 MiB as int64)
 
 
 class BudgetExceededError(RuntimeError):
@@ -62,20 +63,36 @@ def _span(field: GF, basis: np.ndarray) -> np.ndarray:
     return words
 
 
+def _compared(words: np.ndarray, word: np.ndarray) -> np.ndarray:
+    """Counts, by weight, of the rows of words - word: it is zero exactly
+    where words == word."""
+    return np.bincount(np.count_nonzero(words != word, axis=1), minlength=words.shape[1] + 1)
+
+
 def _enumerated_weights(field: GF, basis: np.ndarray) -> np.ndarray:
-    """Weight counts of the span of basis: the span of the leading rows as
-    one block of at most _CHUNK words, compared with each nonzero offset in
-    the span of the remaining rows.  block - offset is zero exactly where
-    block == offset, and the offsets, a subspace, run over their negatives
-    too, so the comparisons count the weights of every word."""
-    q, n = field.q, basis.shape[1]
-    lead = 0
-    while lead < basis.shape[0] and q ** (lead + 1) <= _CHUNK:
-        lead += 1
-    block = _span(field, basis[:lead])
-    counts = np.bincount(np.count_nonzero(block, axis=1), minlength=n + 1)
-    for offset in _span(field, basis[lead:])[1:]:
-        counts += np.bincount(np.count_nonzero(block != offset, axis=1), minlength=n + 1)
+    """Weight counts of the span of the k independent rows of basis, one word
+    per line: the words row_i + span(rows after i), i = 0..k-1, counted q - 1
+    times, plus the zero word.  The span of the last t rows, t <= k - 1 the
+    largest with q^t * n <= _CHUNK, is built once as the block; in _span
+    order span(rows after i) is its prefix of q^(k-i-1) words when
+    k - i - 1 <= t, else the block plus each offset in row_i + span(rows
+    i+1 .. k-t-1).  A subspace S runs over its negatives, so the weights of
+    o + S are those of S - o, counted by comparing."""
+    q, (k, n) = field.q, basis.shape
+    tail = 0
+    while tail < k - 1 and q ** (tail + 1) * n <= _CHUNK:
+        tail += 1
+    block = _span(field, basis[k - tail:])
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for i, row in enumerate(basis):
+        rest = k - i - 1
+        if rest <= tail:
+            counts += _compared(block[: q ** rest], row)
+        else:
+            for offset in field.np_add(_span(field, basis[i + 1 : k - tail]), row[None, :]):
+                counts += _compared(block, offset)
+    counts *= q - 1
+    counts[0] += 1
     return counts
 
 

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agcyclic import cli
 from agcyclic.cli import main
 from agcyclic.lincode import LinearCode
+from test_cli_golden import GOLDEN
 
 
 def run(capsys, *argv):
@@ -202,12 +202,10 @@ matrix_strings = st.one_of(
 seed_strings = st.one_of(st.none(), st.sampled_from(VALID_TOKENS), st.sampled_from(TOKENS + ["inf"]))
 
 
-def test_matrix_parser_fuzz_exits_cleanly(monkeypatch):
+def test_matrix_parser_fuzz_exits_cleanly():
     """Malformed, degenerate and valid --matrix and seed strings over GF(7),
     GF(8) and GF(9) end in exit 0, 1 or 2, never an escaping exception.  The
     `=` form keeps argparse from reading a leading '-' as an option."""
-    parser = cli.build_parser()  # built once: it is most of a failing call's time
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
     exits = Counter()
 
     @settings(max_examples=200)
@@ -228,3 +226,32 @@ def test_matrix_parser_fuzz_exits_cleanly(monkeypatch):
 
     run_one()
     assert exits[0] >= 10 and exits[2] >= 100, exits  # both paths are reached
+
+
+def captured(argv):
+    """Exit code (SystemExit included) and stdout of one in-process call."""
+    out = StringIO()
+    with redirect_stdout(out), redirect_stderr(StringIO()):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+def test_parser_state_does_not_leak_between_calls():
+    """main keeps one parser per process: options of an earlier call, a
+    rejected one included, never reach a later call's defaults."""
+    plain = GOLDEN[20]  # construct over GF(5), default budget, text output
+    assert "--json" not in plain["argv"] and "--budget-codewords" not in plain["argv"]
+    small_budget = GOLDEN[29]  # --budget-codewords 10 --json
+    assert captured(small_budget["argv"]) == (small_budget["exit"], small_budget["stdout"])
+    rejected = [
+        ["construct", "--q", "5", "--budget-codewords", "10", "--json", "--matrix"],  # argparse
+        ["orbit", "--q", "7", "--matrix", "1,0;0,0", "--alpha", "1", "--json"],  # degenerate
+    ]
+    for argv in rejected:
+        assert captured(argv)[0] == 2
+        assert captured(plain["argv"]) == (plain["exit"], plain["stdout"])
+    assert captured(rejected[1]) == captured(rejected[1])
+    assert captured(small_budget["argv"]) == captured(small_budget["argv"])

@@ -1,6 +1,7 @@
 """Linear-code engine: parameters, cyclicity, standard form, equivalence."""
 
 import random
+import tracemalloc
 from collections import Counter
 from itertools import islice, permutations, product
 
@@ -23,6 +24,7 @@ from agcyclic import lincode
 from agcyclic.linalg import left_kernel
 from agcyclic.lincode import (
     _candidate_permutations,
+    _compared,
     _macwilliams,
     _scaling_for_permutation,
     _span,
@@ -284,13 +286,34 @@ def random_generator(field, rng, n, k):
     return np.array(rows, dtype=np.int64).reshape(len(rows), n)
 
 
+def spy_on_kernel(monkeypatch):
+    """Record the _span calls (rows built) and the _compared calls (rows
+    compared, start address of the compared block) of the weight kernel."""
+    spans, compared = [], []
+
+    def span(field, basis):
+        words = _span(field, basis)
+        spans.append(words.shape[0])
+        return words
+
+    def compare(words, word):
+        compared.append((words.shape[0], words.ctypes.data))
+        return _compared(words, word)
+
+    monkeypatch.setattr(lincode, "_span", span)
+    monkeypatch.setattr(lincode, "_compared", compare)
+    return spans, compared
+
+
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
 def test_weight_distribution_matches_brute_force(field, monkeypatch):
     """Seeded random codes of every length 1..7 and every rate the oracle
     can afford, the dual route (k > n - k) included.  Each is counted with
     the default block size and with blocks of q words and of the zero word
-    alone, so that the offsets are exercised at this scale."""
+    alone (_CHUNK in entries: q * n and 1), so that both the prefixes of the
+    block and the offsets are exercised at this scale."""
     rng = random.Random(f"weights:{field.q}")
+    spans, compared = spy_on_kernel(monkeypatch)
     seen = Counter()
     for n in range(1, 8):
         for k in range(n + 1):
@@ -301,40 +324,73 @@ def test_weight_distribution_matches_brute_force(field, monkeypatch):
                 code = LinearCode(field, gen)
                 dim = code.dimension()
                 expected = weights_by_brute_force(field, gen)
-                for chunk in (1 << 18, field.q, 1):
+                for chunk in (1 << 21, field.q * n, 1):
                     monkeypatch.setattr(lincode, "_CHUNK", chunk)
+                    spans.clear()
+                    compared.clear()
                     assert code.weight_distribution().tolist() == expected
+                    seen["prefix"] += any(rows < spans[0] for rows, _ in compared)
+                    seen["offset"] += len(spans) > 1
                 seen["dual" if n - dim < dim else "equal" if n == 2 * dim else "direct"] += 1
                 seen["zero"] += dim == 0
                 seen["full"] += dim == n
                 seen["dependent"] += gen.shape[0] > dim
-    assert all(seen[key] for key in ("dual", "equal", "direct", "zero", "full", "dependent")), seen
+    keys = ("dual", "equal", "direct", "zero", "full", "dependent", "prefix", "offset")
+    assert all(seen[key] for key in keys), seen
 
 
 def test_high_rate_code_enumerates_its_dual(monkeypatch):
-    """A [8, 6] code over GF(9) enumerates the 9^2 words of its dual, not its
-    own 9^6; its [8, 2] dual enumerates itself."""
-    enumerated = []
-
-    def spy(field, basis):
-        words = _span(field, basis)
-        enumerated.append(words.shape[0])
-        return words
-
-    monkeypatch.setattr(lincode, "_span", spy)
+    """A [8, 6] code over GF(9) compares the (9^2 - 1)/8 = 10 words of its
+    dual's lines, never its own 9^6 words; its [8, 2] dual compares the same
+    10 words of its own."""
     field = GF(3, 2)
     code, _ = roots_of_unity_code(field, 8, 3, 2)
     dual = LinearCode(field, left_kernel(field, code.rref.T))
     assert (code.dimension(), dual.dimension()) == (6, 2)
-    enumerated.clear()  # the construction's own report enumerated too
+    _, compared = spy_on_kernel(monkeypatch)
     counts = code.weight_distribution().tolist()
-    assert np.prod(enumerated) == 9 ** 2
-    enumerated.clear()
+    assert sum(rows for rows, _ in compared) == 10
+    compared.clear()
     dual_counts = dual.weight_distribution().tolist()
-    assert np.prod(enumerated) == 9 ** 2
+    assert sum(rows for rows, _ in compared) == 10
     assert counts == dual_weights_by_macwilliams(9, 8, 2, dual_counts)
     # MDS: A_d = C(n, d) (q - 1) for d = n - k + 1
     assert counts[:4] == [1, 0, 0, 56 * 8]
+
+
+def test_low_rate_code_compares_one_word_per_line(monkeypatch):
+    """A [15, 5] code over GF(16) compares (16^5 - 1)/15 = 69905 words, not
+    16^5, all against prefixes of one block, the 16^4 words spanned by its
+    last four rows (16^4 * 15 entries fit _CHUNK), and gets the MDS
+    distribution."""
+    field = GF(2, 4)
+    code, _ = roots_of_unity_code(field, 15, 2, 2)
+    assert code.dimension() == 5
+    spans, compared = spy_on_kernel(monkeypatch)
+    counts = code.weight_distribution().tolist()
+    assert sum(rows for rows, _ in compared) == 69905
+    assert spans == [16 ** 4] and max(rows for rows, _ in compared) == 16 ** 4
+    assert len({address for _, address in compared}) == 1
+    assert counts[:11] == [1] + [0] * 10  # d = n - k + 1 = 11
+    assert counts[11] == 1365 * 15  # C(15, 11) (q - 1)
+    assert sum(counts) == 16 ** 5
+
+
+def test_weight_distribution_memory_is_bounded():
+    """GF(256) [255, 2]: the kernel's block holds 256 words of 255 entries
+    (2^21 entries bound it), so the enumeration peaks far below 4 MiB, where
+    a block of all 65536 words would take 134 MB."""
+    field = GF(2, 8)
+    code, _ = roots_of_unity_code(field, 255, 0, 1)
+    assert code.dimension() == 2
+    tracemalloc.start()
+    try:
+        counts = code.weight_distribution()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.tolist()[-2:] == [255 * 255, 2 * 255]
+    assert peak < 4 << 20, peak
 
 
 @PROPERTY
